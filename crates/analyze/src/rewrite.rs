@@ -26,7 +26,7 @@
 //!   untouched by it.
 //!
 //! Every candidate **relaxation** is additionally priced by a
-//! virtual-time [`CostModel`]: relaxing buys back at most the host
+//! virtual-time [`CostModel`]: relaxing buys back at most the virtual
 //! park time the blocking call paid (scaled by the covered bytes) and
 //! at most the overlap the slack region can absorb, and costs request
 //! bookkeeping plus — when the deferred wait needs a fresh mid-program
@@ -72,8 +72,8 @@ use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
 ///
 /// The calibration anchor is the engine's own `sync_blocked_ns` /
 /// `sync_blocked_steps` counters on the BENCH_9 trajectory baseline:
-/// `halo_fence` parks the host for 412,548 virtual ns across 1,040
-/// blocked sync steps, ≈ 400 ns per blocking synchronization — the
+/// `halo_fence`'s application threads stay parked for 412,548 virtual
+/// ns across 1,040 blocked sync steps, ≈ 400 ns per blocking synchronization — the
 /// default [`CostModel::park_ns_base`]. The remaining constants model
 /// the engine's virtual-cost accounting: larger covered transfers keep
 /// the sync parked longer (`park_ns_per_byte`), each statement of slack
@@ -81,12 +81,12 @@ use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
 /// (`overlap_ns_per_stmt`), a nonblocking request costs
 /// allocate/track/complete bookkeeping (`request_ns`), and a fresh
 /// mid-program `WaitAll` landing point is itself a synchronization the
-/// host must visit (`wait_insert_ns`). A deferred wait that lands on an
+/// rank must visit (`wait_insert_ns`). A deferred wait that lands on an
 /// existing `WaitAll` or at end of program adds no landing-point cost —
-/// the park there overlaps work the host no longer has.
+/// the park there overlaps work the rank no longer has.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CostModel {
-    /// Modeled host-park floor of one blocking synchronization, in
+    /// Modeled park floor of one blocking synchronization, in
     /// virtual ns (BENCH_9 `halo_fence`: ≈ 400 ns per blocked step).
     pub park_ns_base: u64,
     /// Additional park per covered byte the sync completes.

@@ -124,11 +124,11 @@ impl<'a> RankEnv<'a> {
         }
     }
 
-    /// Suspend on `sig`, charging the park to the host-blocking counters
+    /// Suspend on `sig`, charging the park to the blocking counters
     /// ([`crate::EngineStats::sync_blocked_ns`]). Every blocking wait in
     /// the API funnels through here, so the pair
-    /// (`sync_blocked_steps`, `sync_blocked_ns`) is exactly the host
-    /// time the wait family spent suspended.
+    /// (`sync_blocked_steps`, `sync_blocked_ns`) is exactly the number of
+    /// parks and the *virtual* time the wait family spent suspended.
     fn blocked_park(&self, sig: &Signal) {
         let t0 = self.ctx.now();
         self.ctx.wait(sig);

@@ -407,10 +407,10 @@ impl Engine {
         match kind {
             EpochKind::GatsAccess { group } => {
                 for t in group.ranks() {
-                    let w = st.win_mut(win, rank);
-                    w.a[t.idx()] += 1;
-                    let aid = w.a[t.idx()];
-                    let granted = aid <= w.g[t.idx()];
+                    let ps = st.win_mut(win, rank).peer_mut(*t);
+                    ps.a += 1;
+                    let aid = ps.a;
+                    let granted = aid <= ps.g;
                     let ts = st
                         .win_mut(win, rank)
                         .epoch_mut(id)
@@ -432,9 +432,9 @@ impl Engine {
                 st.mark_complete_dirty(rank, win, id);
             }
             EpochKind::Lock { target, lock } => {
-                let w = st.win_mut(win, rank);
-                w.a_lock[target.idx()] += 1;
-                let aid = w.a_lock[target.idx()];
+                let ps = st.win_mut(win, rank).peer_mut(target);
+                ps.a_lock += 1;
+                let aid = ps.a_lock;
                 let ts = st
                     .win_mut(win, rank)
                     .epoch_mut(id)
@@ -468,9 +468,9 @@ impl Engine {
             EpochKind::LockAll => {
                 for t in 0..self.cfg.n_ranks {
                     let t = Rank(t);
-                    let w = st.win_mut(win, rank);
-                    w.a_lock[t.idx()] += 1;
-                    let aid = w.a_lock[t.idx()];
+                    let ps = st.win_mut(win, rank).peer_mut(t);
+                    ps.a_lock += 1;
+                    let aid = ps.a_lock;
                     // entry() preserves `unsent` counts recorded while
                     // the epoch was deferred.
                     st.win_mut(win, rank)
@@ -504,9 +504,10 @@ impl Engine {
             EpochKind::GatsExposure { group } => {
                 for o in group.ranks() {
                     let w = st.win_mut(win, rank);
-                    w.e[o.idx()] += 1;
-                    let eid = w.e[o.idx()];
-                    w.grant_seq[o.idx()].exposure_credits += 1;
+                    let ps = w.peer_mut(*o);
+                    ps.e += 1;
+                    ps.grant_seq.exposure_credits += 1;
+                    let eid = ps.e;
                     if !w.grant_dirty.contains(o) {
                         w.grant_dirty.push(*o);
                     }
@@ -696,7 +697,7 @@ impl Engine {
         let e = w.epoch(id);
         e.exposure_origins
             .iter()
-            .all(|(o, exp)| w.gats_done_recv[o.idx()] >= *exp)
+            .all(|(o, exp)| w.peer(*o).gats_done_recv >= *exp)
     }
 
     /// Mark the epoch internally complete: fire its closing request, retire

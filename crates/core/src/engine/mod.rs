@@ -191,27 +191,31 @@ pub struct EngineStats {
     /// or late duplicate), tolerated instead of asserted in resilient
     /// configurations.
     pub orphan_responses: u64,
-    /// Host-blocking parks: how many times an application thread actually
+    /// Blocking parks: how many times an application thread actually
     /// suspended inside the wait family (`wait`/`wait_all`/`wait_any` and
     /// every blocking epoch close or flush built on them) because the
     /// awaited request was not yet complete. A request that is already
     /// done at the wait call costs zero parks, so this counter measures
-    /// the host-blocking work the paper's nonblocking epochs exist to
-    /// remove — the slack rewriter's closed-loop validator requires it
-    /// to never increase under a sound relaxation.
+    /// the blocking the paper's nonblocking epochs exist to remove — the
+    /// slack rewriter's closed-loop validator requires it to never
+    /// increase under a sound relaxation.
     pub sync_blocked_steps: u64,
     /// Virtual nanoseconds application threads spent suspended in those
     /// parks (wake time minus park time, summed over all ranks). The
     /// companion magnitude to [`EngineStats::sync_blocked_steps`]: a
     /// deferred wait may still park once, but strictly later, so the
     /// blocked time shrinks whenever the reclaimed slack overlaps
-    /// communication with host progress.
+    /// communication with the rank's own (virtual-time) progress.
     pub sync_blocked_ns: u64,
     /// Checkpoints cut by the crash-recovery subsystem (one per window
     /// side per covered commit; includes the `win_allocate` baselines).
     pub ckpt_commits: u64,
     /// Bytes written to the in-simulation stable store by those
-    /// checkpoints (window contents plus serialized ω-triples).
+    /// checkpoints: window contents plus the sparse ω snapshot, one peer
+    /// id and six counters (56 bytes) per peer the side has touched. The
+    /// snapshot's cost follows the active peers, not the job size, so
+    /// this counter reads lower than under the earlier dense `8 × 6 ×
+    /// n_ranks` bytes per checkpoint.
     pub ckpt_bytes: u64,
     /// Window sides restored by rank restarts.
     pub recoveries: u64,
@@ -545,8 +549,15 @@ impl Engine {
             cfg,
             fault,
         });
-        let e2 = eng.clone();
-        net.set_handler(move |pkt| e2.on_message(pkt));
+        // The engine owns the network, so the handler holds only a weak
+        // back-reference: a strong one would close an engine → network →
+        // handler → engine `Arc` cycle and leak every finished job.
+        let weak = Arc::downgrade(&eng);
+        net.set_handler(move |pkt| {
+            if let Some(eng) = weak.upgrade() {
+                eng.on_message(pkt);
+            }
+        });
         eng
     }
 
@@ -732,7 +743,7 @@ impl Engine {
             st.wins[idx].per_rank[rank.idx()].is_none(),
             "window creation order diverged across ranks"
         );
-        st.wins[idx].per_rank[rank.idx()] = Some(WinRank::new(size, info, self.cfg.n_ranks));
+        st.wins[idx].per_rank[rank.idx()] = Some(WinRank::new(size, info));
         let win = WinId(idx as u32);
         if self.recovery_armed() {
             // Commit-0 baseline: a crash before the first epoch commit
@@ -1307,11 +1318,41 @@ mod tests {
         {
             let mut st = eng.st.lock();
             st.wins.push(WinGlobal {
-                per_rank: (0..2).map(|_| Some(WinRank::new(64, WinInfo::default(), 2))).collect(),
+                per_rank: (0..2).map(|_| Some(WinRank::new(64, WinInfo::default()))).collect(),
             });
             st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1));
         }
         (sim, eng)
+    }
+
+    #[test]
+    fn ring_lock_epoch_touches_only_neighbour_peer_state() {
+        let n = 256;
+        crate::runtime::run_job(JobConfig::new(n), move |env| {
+            let win = env.win_allocate(8).unwrap();
+            let me = env.rank();
+            let right = Rank((me.idx() + 1) % n);
+            let left = Rank((me.idx() + n - 1) % n);
+            env.lock(win, right, crate::types::LockKind::Exclusive).unwrap();
+            env.put(win, right, 0, &[me.idx() as u8]).unwrap();
+            env.unlock(win, right).unwrap();
+            env.barrier().unwrap();
+            {
+                let st = env.engine().st.lock();
+                let w = st.win(win, me);
+                let mut want = vec![left, right];
+                want.sort();
+                assert_eq!(w.peers.keys().copied().collect::<Vec<_>>(), want);
+                // Origin side toward the right neighbour: one lock
+                // requested and granted; target side toward the left
+                // neighbour: one lock grant emitted.
+                assert_eq!(w.peer(right).counters(), [0, 0, 0, 1, 1, 0]);
+                assert_eq!(w.peer(left).counters(), [0; 6]);
+                assert_eq!(w.peer(left).grant_seq.gl_sent, 1);
+            }
+            env.win_free(win).unwrap();
+        })
+        .unwrap();
     }
 
     #[test]
@@ -1382,8 +1423,8 @@ mod tests {
         assert_eq!(s.fifo_decode_errors, 0);
         // Words were applied in FIFO order: the done high-water mark
         // landed on the later access id.
-        let mut st = eng.st.lock();
-        assert_eq!(st.win_mut(WinId(0), Rank(0)).gats_done_recv[1], 9);
+        let st = eng.st.lock();
+        assert_eq!(st.win(WinId(0), Rank(0)).peer(Rank(1)).gats_done_recv, 9);
         assert!(st.sweep[0].fifo_pending.is_empty(), "drain consumed the pending entry");
     }
 

@@ -33,63 +33,43 @@ use mpisim_sim::SimTime;
 use crate::engine::rel::Degradation;
 use crate::engine::{EngState, Engine};
 use crate::types::{Rank, WinId};
+use crate::window::WinRank;
 
 /// Snapshot of one window side's ω matching state (§VII.B), both the
 /// GATS plane and the split lock plane, plus the done high-water marks.
+/// Sparse: one record per peer the side has touched, so a checkpoint
+/// costs O(active peers), not O(ranks).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OmegaSnapshot {
-    /// Accesses requested toward each peer (`a_l`).
-    pub a: Vec<u64>,
-    /// Exposures opened toward each peer (`e_l`).
-    pub e: Vec<u64>,
-    /// Access grants received from each peer (`g_r`).
-    pub g: Vec<u64>,
-    /// Lock-plane requests toward each peer.
-    pub a_lock: Vec<u64>,
-    /// Lock-plane grants received from each peer.
-    pub g_lock: Vec<u64>,
-    /// Highest GATS done id received from each origin.
-    pub gats_done_recv: Vec<u64>,
+    /// `(peer, [a, e, g, a_lock, g_lock, gats_done_recv])` per touched
+    /// peer, in ascending peer order (see
+    /// [`crate::window::PeerState::counters`]).
+    pub peers: Vec<(Rank, [u64; 6])>,
 }
 
 impl OmegaSnapshot {
-    fn capture(w: &crate::window::WinRank) -> Self {
+    fn capture(w: &WinRank) -> Self {
         OmegaSnapshot {
-            a: w.a.clone(),
-            e: w.e.clone(),
-            g: w.g.clone(),
-            a_lock: w.a_lock.clone(),
-            g_lock: w.g_lock.clone(),
-            gats_done_recv: w.gats_done_recv.clone(),
+            peers: w.peers.iter().map(|(p, ps)| (*p, ps.counters())).collect(),
         }
     }
 
-    /// Serialized size, for checkpoint-overhead accounting.
+    /// Serialized size, for checkpoint-overhead accounting: one peer id
+    /// plus six counters per recorded peer.
     fn byte_len(&self) -> u64 {
-        8 * (self.a.len()
-            + self.e.len()
-            + self.g.len()
-            + self.a_lock.len()
-            + self.g_lock.len()
-            + self.gats_done_recv.len()) as u64
+        (self.peers.len() * std::mem::size_of::<(Rank, [u64; 6])>()) as u64
     }
 
     /// Count counters where `live` has moved *backwards* relative to this
     /// snapshot — impossible under the monotonic ω protocol, so any hit
-    /// is a reconcile-audit failure.
-    fn regressions_vs(&self, live: &OmegaSnapshot) -> u64 {
-        let pairs = [
-            (&self.a, &live.a),
-            (&self.e, &live.e),
-            (&self.g, &live.g),
-            (&self.a_lock, &live.a_lock),
-            (&self.g_lock, &live.g_lock),
-            (&self.gats_done_recv, &live.gats_done_recv),
-        ];
-        pairs
+    /// is a reconcile-audit failure. A checkpointed peer missing from
+    /// `live` reads as zero; a peer first touched after the checkpoint
+    /// cannot have regressed and is not visited.
+    fn regressions_vs(&self, live: &WinRank) -> u64 {
+        self.peers
             .iter()
-            .flat_map(|(ck, lv)| ck.iter().zip(lv.iter()))
-            .filter(|(ck, lv)| lv < ck)
+            .flat_map(|(p, ck)| ck.iter().zip(live.peer(*p).counters()))
+            .filter(|(ck, lv)| lv < *ck)
             .count() as u64
     }
 }
@@ -381,9 +361,7 @@ impl Engine {
                 let stale = installed != reconstructed;
                 let ckpt_commit = ckpt.commit_no;
                 let ckpt_at = ckpt.at;
-                let omega_ckpt = ckpt.omega.clone();
-                let live_omega = OmegaSnapshot::capture(st.win(win, rank));
-                let omega_regressions = omega_ckpt.regressions_vs(&live_omega);
+                let omega_regressions = ckpt.omega.regressions_vs(st.win(win, rank));
                 st.win_mut(win, rank).mem = installed;
                 let report = RecoveryReport {
                     rank,
@@ -518,20 +496,45 @@ mod tests {
         );
     }
 
+    fn side() -> WinRank {
+        WinRank::new(8, crate::config::WinInfo::default())
+    }
+
     #[test]
     fn omega_snapshot_audit_counts_regressions() {
-        let a = OmegaSnapshot {
-            a: vec![3, 5],
-            e: vec![1, 1],
-            g: vec![2, 2],
-            a_lock: vec![0, 0],
-            g_lock: vec![0, 0],
-            gats_done_recv: vec![4, 4],
-        };
-        let mut live = a.clone();
-        assert_eq!(a.regressions_vs(&live), 0);
-        live.a[0] = 2; // moved backwards
-        live.gats_done_recv[1] = 0; // moved backwards
-        assert_eq!(a.regressions_vs(&live), 2);
+        let mut w = side();
+        for p in [0, 5] {
+            let ps = w.peer_mut(Rank(p));
+            ps.a = 3;
+            ps.e = 1;
+            ps.g = 2;
+            ps.gats_done_recv = 4;
+        }
+        let ck = OmegaSnapshot::capture(&w);
+        assert_eq!(ck.peers.len(), 2);
+        assert_eq!(ck.byte_len(), 2 * 56);
+        assert_eq!(ck.regressions_vs(&w), 0);
+        w.peer_mut(Rank(0)).a = 2; // moved backwards
+        w.peer_mut(Rank(5)).gats_done_recv = 0; // moved backwards
+        assert_eq!(ck.regressions_vs(&w), 2);
+    }
+
+    #[test]
+    fn checkpointed_peer_missing_from_live_state_is_a_regression() {
+        let ck = OmegaSnapshot { peers: vec![(Rank(7), [1, 0, 0, 2, 2, 0])] };
+        // The live side never touched peer 7: it reads as zero, so the
+        // three non-zero checkpointed counters all moved backwards.
+        assert_eq!(ck.regressions_vs(&side()), 3);
+    }
+
+    #[test]
+    fn peer_first_touched_after_the_checkpoint_is_not_a_regression() {
+        let mut w = side();
+        w.peer_mut(Rank(1)).a_lock = 1;
+        let ck = OmegaSnapshot::capture(&w);
+        w.peer_mut(Rank(3)).g_lock = 9;
+        w.peer_mut(Rank(1)).a_lock = 2;
+        assert_eq!(ck.regressions_vs(&w), 0);
+        assert_eq!(ck.peers, vec![(Rank(1), [0, 0, 0, 1, 0, 0])]);
     }
 }

@@ -184,9 +184,17 @@ impl Engine {
                 kind: e.kind.name(),
                 closed_at: e.closed_at.unwrap_or(SimTime::ZERO),
                 cancelled_at: self.sim.now(),
-                omega: (0..self.cfg.n_ranks).map(|p| (w.a[p], w.e[p], w.g[p])).collect(),
+                omega: (0..self.cfg.n_ranks)
+                    .map(|p| {
+                        let ps = w.peer(Rank(p));
+                        (ps.a, ps.e, ps.g)
+                    })
+                    .collect(),
                 omega_lock: (0..self.cfg.n_ranks)
-                    .map(|p| (w.a_lock[p], w.g_lock[p]))
+                    .map(|p| {
+                        let ps = w.peer(Rank(p));
+                        (ps.a_lock, ps.g_lock)
+                    })
                     .collect(),
                 oldest_unacked: st.rel[rank.idx()].oldest_unacked(),
                 live_ops: e.live_ops.len(),

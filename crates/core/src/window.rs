@@ -39,6 +39,55 @@ pub struct GrantSeq {
     pub gl_sent: u64,
 }
 
+/// ω matching state toward one peer (§VII.B): the GATS triple
+/// `⟨a_l, e_l, g_r⟩`, the split lock plane, the done high-water mark, and
+/// the target-side grant sequencing toward that peer as origin.
+#[derive(Debug, Default)]
+pub struct PeerState {
+    /// Accesses requested from me to the peer (`a_l`).
+    pub a: u64,
+    /// Exposures opened from me to the peer (`e_l`).
+    pub e: u64,
+    /// Accesses granted to me by the peer (`g_r`; updated one-sidedly by
+    /// the peer via grant packets).
+    pub g: u64,
+    /// Lock-plane request counter: lock epochs opened from me toward the
+    /// peer. Kept separate from the GATS triple so exposure grants can
+    /// never be confused with lock grants when both planes are in flight
+    /// (see DESIGN.md, "deviation: split matching planes").
+    pub a_lock: u64,
+    /// Lock-plane grants received from the peer.
+    pub g_lock: u64,
+    /// Highest GATS done id received from the peer as origin.
+    pub gats_done_recv: u64,
+    /// Target-side grant sequencing toward the peer as origin.
+    pub grant_seq: GrantSeq,
+}
+
+impl PeerState {
+    /// The six counters, in the order `[a, e, g, a_lock, g_lock,
+    /// gats_done_recv]`.
+    pub fn counters(&self) -> [u64; 6] {
+        [self.a, self.e, self.g, self.a_lock, self.g_lock, self.gats_done_recv]
+    }
+}
+
+/// The state of a peer never written to, returned by [`WinRank::peer`].
+static ZERO_PEER: PeerState = PeerState {
+    a: 0,
+    e: 0,
+    g: 0,
+    a_lock: 0,
+    g_lock: 0,
+    gats_done_recv: 0,
+    grant_seq: GrantSeq {
+        g_sent: 0,
+        exposure_credits: 0,
+        pending_locks: BTreeMap::new(),
+        gl_sent: 0,
+    },
+};
+
 /// An outstanding (nonblocking) flush request, age-stamped per §VII.C.
 #[derive(Debug)]
 pub struct FlushState {
@@ -84,26 +133,12 @@ pub struct WinRank {
     /// Open lock-all epoch, if any.
     pub cur_lock_all: Option<EpochId>,
 
-    // ---- ω triples (§VII.B), one slot per peer ----
-    /// Accesses requested from me to peer (`a_l`).
-    pub a: Vec<u64>,
-    /// Exposures opened from me to peer (`e_l`).
-    pub e: Vec<u64>,
-    /// Accesses granted to me by peer (`g_r`; updated one-sidedly by the
-    /// peer via grant packets).
-    pub g: Vec<u64>,
-    /// Lock-plane request counter: lock epochs opened from me toward peer.
-    /// Kept separate from the GATS triple so exposure grants can never be
-    /// confused with lock grants when both planes are in flight (see
-    /// DESIGN.md, "deviation: split matching planes").
-    pub a_lock: Vec<u64>,
-    /// Lock-plane grants received from peer.
-    pub g_lock: Vec<u64>,
-    /// Highest GATS done id received from each origin.
-    pub gats_done_recv: Vec<u64>,
-
-    /// Target-side grant sequencing per origin.
-    pub grant_seq: Vec<GrantSeq>,
+    /// ω matching state (§VII.B) per peer, created on the first write
+    /// toward that peer (see [`WinRank::peer_mut`]). A peer this side never
+    /// synchronized with has no entry and reads as all-zero through
+    /// [`WinRank::peer`], so the map grows with the active peers, not with
+    /// the job size. Ordered so every iteration is deterministic.
+    pub peers: BTreeMap<Rank, PeerState>,
     /// Origins whose grant sequence may have emission work pending
     /// (deduplicated work list; ping-pongs with a sweep scratch buffer
     /// while the grant pump drains it).
@@ -146,8 +181,9 @@ pub struct WinRank {
 
 impl WinRank {
     /// Create this rank's side of a window with `size` bytes of exposed
-    /// memory in a job of `n_ranks`.
-    pub fn new(size: usize, info: WinInfo, n_ranks: usize) -> Self {
+    /// memory. Per-peer state is allocated lazily, so the cost does not
+    /// depend on the job size.
+    pub fn new(size: usize, info: WinInfo) -> Self {
         WinRank {
             mem: vec![0; size],
             info,
@@ -159,13 +195,7 @@ impl WinRank {
             cur_fence: None,
             open_locks: BTreeMap::new(),
             cur_lock_all: None,
-            a: vec![0; n_ranks],
-            e: vec![0; n_ranks],
-            g: vec![0; n_ranks],
-            a_lock: vec![0; n_ranks],
-            g_lock: vec![0; n_ranks],
-            gats_done_recv: vec![0; n_ranks],
-            grant_seq: (0..n_ranks).map(|_| GrantSeq::default()).collect(),
+            peers: BTreeMap::new(),
             grant_dirty: Vec::new(),
             lock_mgr: LockMgr::default(),
             fence_arrivals: HashMap::new(),
@@ -177,6 +207,17 @@ impl WinRank {
             fifos_in: BTreeMap::new(),
             epoch_pool: Vec::new(),
         }
+    }
+
+    /// ω state toward `peer`; an untouched peer reads as all-zero and is
+    /// not inserted.
+    pub fn peer(&self, peer: Rank) -> &PeerState {
+        self.peers.get(&peer).unwrap_or(&ZERO_PEER)
+    }
+
+    /// Mutable ω state toward `peer`, created on first write.
+    pub fn peer_mut(&mut self, peer: Rank) -> &mut PeerState {
+        self.peers.entry(peer).or_default()
     }
 
     /// Allocate the next epoch id.
@@ -279,7 +320,7 @@ mod tests {
     use crate::types::Group;
 
     fn mk() -> WinRank {
-        WinRank::new(64, WinInfo::default(), 4)
+        WinRank::new(64, WinInfo::default())
     }
 
     #[test]
@@ -316,6 +357,20 @@ mod tests {
         w.fifo_from(Rank(2)).push(42);
         assert_eq!(w.fifos_in.len(), 1);
         assert_eq!(w.fifo_from(Rank(2)).pop(), Some(42));
+    }
+
+    #[test]
+    fn peer_entries_created_only_on_write() {
+        let mut w = mk();
+        assert!(w.peers.is_empty(), "a fresh side holds no peer state");
+        assert_eq!(w.peer(Rank(3)).counters(), [0; 6]);
+        assert_eq!(w.peer(Rank(3)).grant_seq.gl_sent, 0);
+        assert!(w.peers.is_empty(), "reads must not insert");
+        w.peer_mut(Rank(2)).a += 1;
+        w.peer_mut(Rank(2)).g_lock = 5;
+        let _ = w.peer(Rank(1));
+        assert_eq!(w.peers.keys().copied().collect::<Vec<_>>(), vec![Rank(2)]);
+        assert_eq!(w.peer(Rank(2)).counters(), [1, 0, 0, 0, 5, 0]);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! every [`Degradation`] variant, including the recovery variants.
 
 use mpisim_core::{
-    Degradation, JobConfig, ProtocolError, Rank, RecoveryReport, StallReport, WinId,
+    Degradation, JobConfig, LockKind, ProtocolError, Rank, RecoveryReport, Reliability,
+    StallReport, WinId,
 };
+use mpisim_net::{FaultPlan, Partition};
 use mpisim_sim::SimTime;
 
 /// One exemplar of every `Degradation` variant, in a fixed order.
@@ -147,4 +149,50 @@ fn degradations_preserve_recording_order() {
         assert_eq!(a.kind(), b.kind());
         assert_eq!(a.to_string(), b.to_string());
     }
+}
+
+#[test]
+fn stall_report_keeps_dense_per_peer_omega() {
+    // Per-peer ω state is sparse inside the engine, but a stall report
+    // still carries one entry per rank: untouched peers read as zero.
+    let n = 4;
+    let mut plan = FaultPlan::none(5);
+    plan.partitions.push(Partition {
+        a: Rank(0),
+        b: Rank(1),
+        from: SimTime::from_micros(50),
+        until: SimTime::from_secs(1_000),
+    });
+    let mut cfg = JobConfig::all_internode(n);
+    cfg.net.faults = Some(plan);
+    cfg.reliability = Some(Reliability {
+        rto: SimTime::from_micros(20),
+        max_backoff: SimTime::from_micros(80),
+        max_retries: 4,
+        ..Reliability::default()
+    });
+    cfg = cfg.with_watchdog(SimTime::from_millis(1));
+    let report = mpisim_core::run_job(cfg, |env| {
+        let win = env.win_allocate(64).unwrap();
+        env.barrier().unwrap();
+        if env.rank().idx() == 0 {
+            env.compute(SimTime::from_micros(100)); // step past the cut
+            let l = env.ilock(win, Rank(1), LockKind::Exclusive).unwrap();
+            let u = env.iunlock(win, Rank(1)).unwrap();
+            env.wait(l).unwrap();
+            env.wait(u).unwrap(); // returns only because the watchdog cancels
+        }
+    })
+    .unwrap();
+    let stall = report
+        .degradations
+        .iter()
+        .find_map(|d| match d {
+            Degradation::EpochStall(r) => Some(r),
+            _ => None,
+        })
+        .expect("the partitioned lock epoch must stall");
+    assert_eq!(stall.omega, vec![(0, 0, 0); n]);
+    // One lock requested toward rank 1, never granted.
+    assert_eq!(stall.omega_lock, vec![(0, 0), (1, 0), (0, 0), (0, 0)]);
 }

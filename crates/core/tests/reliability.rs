@@ -252,3 +252,35 @@ fn crashed_peer_during_lock_all_is_cancelled_not_hung() {
     assert!(report.engine.epochs_cancelled >= 1);
     assert!(report.net.fault_crash_drops > 0);
 }
+
+/// Two same-seed lossy jobs in one process replay the same timeline. Each
+/// rank keeps reliability channels to four peers, so a retransmit scan
+/// walks several channels holding expired frames at once; the scan order
+/// must come from the channels, not from the process's hash seed (every
+/// hash map in one process gets fresh random keys).
+#[test]
+fn same_seed_lossy_jobs_repeat_in_one_process() {
+    let run = || {
+        let mut cfg = faulty_cfg(8, FaultPlan::light_loss(5));
+        cfg.seed = 5;
+        let report = run_job(cfg, |env| {
+            let win = env.win_allocate(64).unwrap();
+            let me = env.rank().idx();
+            let n = env.n_ranks();
+            env.fence(win).unwrap();
+            for round in 0..6u8 {
+                for k in 1..=4 {
+                    let t = Rank((me + k) % n);
+                    env.put(win, t, k * 8, &[round; 8]).unwrap();
+                }
+                env.fence(win).unwrap();
+            }
+            env.win_free(win).unwrap();
+        })
+        .unwrap();
+        assert!(report.is_clean(), "{:?}", report.degradations);
+        assert!(report.engine.rel_retransmits > 0, "the plan must force retransmits");
+        (report.final_time, format!("{:?}", report.net), report.engine)
+    };
+    assert_eq!(run(), run());
+}
