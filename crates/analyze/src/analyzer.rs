@@ -627,7 +627,7 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                     });
                 }
             }
-            Stmt::Put { win, target, disp, len } => {
+            Stmt::Put { win, target, disp, len, .. } => {
                 st.data_op(step, *win, *target, *disp, *len, AccessKind::Write, "put");
             }
             Stmt::Get { win, target, disp, len } => {
@@ -657,7 +657,7 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                 st.outstanding.clear();
                 st.sync_all();
             }
-            Stmt::Barrier => {}
+            Stmt::Barrier | Stmt::Compute { .. } => {}
         }
     }
     st.finish();

@@ -143,7 +143,7 @@ fn ops_for(rng: &mut SmallRng, win: usize, target: usize) -> Vec<Stmt> {
             let len = rng.gen_range(1..8usize);
             let disp = rng.gen_range(0..NEG_WIN_BYTES - len);
             match rng.gen_range(0..3u32) {
-                0 => Stmt::Put { win, target, disp, len },
+                0 => Stmt::Put { win, target, disp, len, val: 0xab },
                 1 => Stmt::Get { win, target, disp, len },
                 _ => Stmt::Acc { win, target, disp: (disp / 8) * 8, len: 8, op: ReduceOp::Sum },
             }
@@ -230,7 +230,7 @@ pub fn generate_negative(family: NegFamily, index: u64) -> NegCase {
                 let target = rng.gen_range(1..n_ranks);
                 let len = rng.gen_range(1..8usize);
                 let disp = rng.gen_range(0..NEG_WIN_BYTES - len);
-                Stmt::Put { win: 0, target, disp, len }
+                Stmt::Put { win: 0, target, disp, len, val: 0xab }
             };
             let before = rng.gen_bool(0.5);
             if before {
@@ -262,11 +262,11 @@ pub fn generate_negative(family: NegFamily, index: u64) -> NegCase {
             for r in 0..n_ranks {
                 p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
             }
-            p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: lo, len: len_a });
+            p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: lo, len: len_a, val: 0xab });
             p.ranks[2].push(if use_get {
                 Stmt::Get { win: 0, target: 0, disp: lo_b, len: len_b }
             } else {
-                Stmt::Put { win: 0, target: 0, disp: lo_b, len: len_b }
+                Stmt::Put { win: 0, target: 0, disp: lo_b, len: len_b, val: 0xab }
             });
             for r in 0..n_ranks {
                 p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
@@ -317,11 +317,11 @@ pub fn generate_negative(family: NegFamily, index: u64) -> NegCase {
             for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
                 p.ranks[me].extend([
                     Stmt::Lock { win, target: first, exclusive: true, nonblocking: false },
-                    Stmt::Put { win, target: first, disp: 0, len: 8 },
+                    Stmt::Put { win, target: first, disp: 0, len: 8, val: 0xab },
                     Stmt::Flush { win, target: Some(first), local_only: false, close: Close::Blocking },
                     Stmt::Barrier,
                     Stmt::Lock { win, target: second, exclusive: true, nonblocking: false },
-                    Stmt::Put { win, target: second, disp: 8, len: 8 },
+                    Stmt::Put { win, target: second, disp: 8, len: 8, val: 0xab },
                     Stmt::Unlock { win, target: second, close: Close::Blocking },
                     Stmt::Unlock { win, target: first, close: Close::Blocking },
                 ]);
@@ -462,14 +462,14 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
 
     // E001: put before any epoch opens.
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
-    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     out.push((Code::E001, p));
 
     // E002: op toward a rank outside the start group.
     let mut p = IrProgram::new(3, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     p.ranks[1].extend([
@@ -482,7 +482,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
     ]);
     out.push((Code::E003, p));
 
@@ -510,8 +510,8 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     for r in 0..3 {
         p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
     }
-    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8 });
-    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 4, len: 8 });
+    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8, val: 0xab });
+    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 4, len: 8, val: 0xab });
     for r in 0..3 {
         p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
     }
@@ -522,7 +522,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     for r in 0..3 {
         p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
     }
-    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8 });
+    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8, val: 0xab });
     p.ranks[2].push(Stmt::Get { win: 0, target: 0, disp: 4, len: 8 });
     for r in 0..3 {
         p.ranks[r].push(Stmt::Fence { win: 0, close: Close::Blocking });
@@ -534,7 +534,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -547,9 +547,9 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     p.unsafe_fence_reorder = true;
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Nonblocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Nonblocking },
         Stmt::WaitAll,
     ]);
@@ -564,7 +564,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: NEG_WIN_BYTES - 4, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: NEG_WIN_BYTES - 4, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     out.push((Code::E010, p));
@@ -582,7 +582,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     p.crashed = vec![2];
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -610,11 +610,11 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Flush { win: 0, target: Some(first), local_only: false, close: Close::Blocking },
             Stmt::Barrier,
             Stmt::Lock { win: 0, target: second, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
         ]);
@@ -626,7 +626,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     out.push((Code::E015, p));
@@ -635,7 +635,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Blocking },
     ]);
     p.ranks[1].push(Stmt::Fence { win: 0, close: Close::Blocking });
@@ -686,7 +686,7 @@ pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -698,7 +698,7 @@ pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -713,7 +713,7 @@ pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -725,7 +725,7 @@ pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(3, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {

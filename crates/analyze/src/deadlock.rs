@@ -287,6 +287,7 @@ fn build_conds(rank: usize, p: &IrProgram, sh: &RankShape) -> Vec<Cond> {
                 Cond::Barrier { idx }
             }
             Stmt::WaitAll => Cond::Many(std::mem::take(&mut pending)),
+            Stmt::Compute { .. } => Cond::None,
             Stmt::ReadValue { win, target, disp, local, .. } => {
                 locals.insert(*local, (*win, *target, *disp));
                 Cond::None
@@ -585,7 +586,7 @@ fn fixpoint_pass(p: &IrProgram) -> Vec<Diagnostic> {
     for (rank, stmts) in p.ranks.iter().enumerate() {
         for (step, stmt) in stmts.iter().enumerate() {
             match stmt {
-                Stmt::Put { win, target, disp, len } => suppliers.push(Supply {
+                Stmt::Put { win, target, disp, len, .. } => suppliers.push(Supply {
                     rank,
                     step,
                     win: *win,

@@ -7,7 +7,7 @@
 //! distinction explicit and the target window named, so the
 //! flow-sensitive state machine sees exactly the call sequence the
 //! runtime would see. `mpisim-check` lowers its generated programs into
-//! this shape (mirroring its executor) before running the analyzer.
+//! this shape, analyzes them, and then executes the very same IR.
 //!
 //! Every epoch/op statement carries a `win` index into
 //! [`IrProgram::windows`]; single-window programs use window `0`
@@ -161,7 +161,8 @@ pub enum Stmt {
         /// Blocking (`flush*`) or nonblocking (`iflush*`) variant.
         close: Close,
     },
-    /// `MPI_PUT` of `len` bytes at `disp` in `target`'s window.
+    /// `MPI_PUT` of `len` bytes, each `val`, at `disp` in `target`'s
+    /// window.
     Put {
         /// Window index.
         win: usize,
@@ -171,6 +172,8 @@ pub enum Stmt {
         disp: usize,
         /// Length in bytes.
         len: usize,
+        /// Fill byte written to every position.
+        val: u8,
     },
     /// `MPI_GET` of `len` bytes at `disp` from `target`'s window.
     Get {
@@ -244,6 +247,13 @@ pub enum Stmt {
         /// The value the spin waits for.
         expect: u64,
     },
+    /// Local computation for `ns` virtual nanoseconds. It touches no
+    /// window and no request, so every static pass treats it as a no-op;
+    /// only the executed schedule sees the delay.
+    Compute {
+        /// Duration in virtual nanoseconds.
+        ns: u64,
+    },
     /// Consume every outstanding nonblocking-epoch request
     /// (`MPI_WAITALL` over the collected requests).
     WaitAll,
@@ -273,7 +283,7 @@ impl Stmt {
             | Stmt::AccVal { win, .. } => Some(win),
             // A spin addresses its defining read's window indirectly;
             // the walker resolves the binding itself.
-            Stmt::SpinUntil { .. } | Stmt::WaitAll | Stmt::Barrier => None,
+            Stmt::SpinUntil { .. } | Stmt::Compute { .. } | Stmt::WaitAll | Stmt::Barrier => None,
         }
     }
 }

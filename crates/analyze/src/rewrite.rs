@@ -66,7 +66,7 @@
 //! stall/deadlock, a memory divergence, or a watchdog degradation.
 
 use crate::ir::{Close, IrProgram, Stmt};
-use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
+use crate::slack::{analyze_slack, slack_distance, SlackClass, SlackFinding, SyncKind};
 
 /// Virtual-time price book for candidate relaxations.
 ///
@@ -129,14 +129,15 @@ impl CostModel {
         }
     }
 
-    /// Is relaxing this `Relaxable` epoch close worth it? `rank_len` is
-    /// the finding's rank program length (the end-of-program wait
+    /// Is relaxing this `Relaxable` epoch close worth it? `stmts` is the
+    /// finding's rank program (its end is the end-of-program wait
     /// point). Benefit is capped both by the park time the blocking
     /// call paid and by the overlap the slack region can absorb; cost
     /// is the request bookkeeping plus, for a fresh mid-program landing
     /// point, the inserted wait.
-    pub fn profitable(&self, f: &SlackFinding, rank_len: usize) -> bool {
-        let slack_stmts = f.wait_before.unwrap_or(rank_len).saturating_sub(f.step + 1) as u64;
+    pub fn profitable(&self, f: &SlackFinding, stmts: &[Stmt]) -> bool {
+        let end = f.wait_before.unwrap_or(stmts.len());
+        let slack_stmts = slack_distance(stmts, f.step, end) as u64;
         let park = self.park_ns_base + self.park_ns_per_byte * f.covered_bytes as u64;
         let overlap = self.overlap_ns_per_stmt.saturating_mul(slack_stmts);
         let benefit = park.min(overlap);
@@ -300,7 +301,7 @@ fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (
                 (SlackClass::Relaxable, SyncKind::Flush) => localize.push(f.step),
                 (SlackClass::Relaxable, _) => {
                     if unlock_contended(p, rank, f.step)
-                        || !model.profitable(f, p.ranks[rank].len())
+                        || !model.profitable(f, &p.ranks[rank])
                     {
                         pass_skipped += 1;
                         continue;

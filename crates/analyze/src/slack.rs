@@ -235,7 +235,7 @@ fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
                 | Stmt::ReadValue { .. }
                 | Stmt::AccVal { .. } => {
                     let (win, target, lo, hi, write) = match stmt {
-                        Stmt::Put { win, target, disp, len } => {
+                        Stmt::Put { win, target, disp, len, .. } => {
                             (*win, *target, *disp, disp + len, true)
                         }
                         Stmt::Get { win, target, disp, len } => {
@@ -582,7 +582,8 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                         p.ranks[rank].len(),
                     ),
                 };
-            if slack_end <= step + 1 {
+            let distance = slack_distance(&p.ranks[rank], step, slack_end);
+            if distance == 0 {
                 report.findings.push(SlackFinding {
                     rank,
                     step,
@@ -608,8 +609,7 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                 step: Some(step),
                 detail: format!(
                     "blocking {kind:?} on window {win} can be its nonblocking form with the \
-                     wait deferred {} statement(s): {why}",
-                    slack_end - step - 1
+                     wait deferred {distance} statement(s): {why}"
                 ),
             });
             report.findings.push(SlackFinding {
@@ -868,7 +868,7 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                 | Stmt::ReadValue { .. }
                 | Stmt::AccVal { .. } => {
                     let (win, target, iv) = match stmt {
-                        Stmt::Put { win, target, disp, len }
+                        Stmt::Put { win, target, disp, len, .. }
                         | Stmt::Acc { win, target, disp, len, .. } => (
                             *win,
                             *target,
@@ -912,7 +912,7 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                         fence_ops.entry(win).or_default().push(iv);
                     }
                 }
-                Stmt::SpinUntil { .. } | Stmt::WaitAll | Stmt::Barrier => {}
+                Stmt::SpinUntil { .. } | Stmt::Compute { .. } | Stmt::WaitAll | Stmt::Barrier => {}
             }
         }
         starts_shape.push(my_starts);
@@ -1008,6 +1008,18 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
     }
 
     report
+}
+
+/// Statements strictly between `step` and `end` that a deferred wait
+/// could overlap. `Compute` is a no-op to every static pass, so it adds
+/// no distance.
+pub(crate) fn slack_distance(stmts: &[Stmt], step: usize, end: usize) -> usize {
+    stmts
+        .get(step + 1..end)
+        .unwrap_or_default()
+        .iter()
+        .filter(|s| !matches!(s, Stmt::Compute { .. }))
+        .count()
 }
 
 /// First statement after `step` matching `pred`, or end of program.

@@ -31,7 +31,7 @@ fn assert_clean(p: &IrProgram) {
 #[test]
 fn e001_op_outside_epoch() {
     let mut p = IrProgram::new(2, WIN);
-    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     assert!(has_code(&analyze(&p), Code::E001));
 }
 
@@ -40,7 +40,7 @@ fn e001_near_miss_op_inside_lock() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert_clean(&p);
@@ -53,7 +53,7 @@ fn e002_target_outside_start_group() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     p.ranks[1].extend([Stmt::Post { win: 0, group: vec![0] }, Stmt::WaitEpoch { win: 0, close: Close::Blocking }]);
@@ -65,7 +65,7 @@ fn e002_near_miss_target_in_group() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -81,7 +81,7 @@ fn e003_lock_never_unlocked() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
     ]);
     assert!(has_code(&analyze(&p), Code::E003));
 }
@@ -91,7 +91,7 @@ fn e003_near_miss_lock_unlocked() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert_clean(&p);
@@ -140,7 +140,7 @@ fn e005_near_miss_dormant_trailing_fence() {
     fence_all(&mut p, Close::Blocking);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert_clean(&p);
@@ -152,8 +152,8 @@ fn e005_near_miss_dormant_trailing_fence() {
 fn e006_overlapping_cross_origin_puts() {
     let mut p = IrProgram::new(3, WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8 });
-    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 4, len: 8 });
+    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8, val: 0xab });
+    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 4, len: 8, val: 0xab });
     fence_all(&mut p, Close::Blocking);
     assert!(has_code(&analyze(&p), Code::E006));
 }
@@ -162,8 +162,8 @@ fn e006_overlapping_cross_origin_puts() {
 fn e006_near_miss_disjoint_puts() {
     let mut p = IrProgram::new(3, WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8 });
-    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 8, len: 8 });
+    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8, val: 0xab });
+    p.ranks[2].push(Stmt::Put { win: 0, target: 0, disp: 8, len: 8, val: 0xab });
     fence_all(&mut p, Close::Blocking);
     assert_clean(&p);
 }
@@ -174,7 +174,7 @@ fn e006_near_miss_disjoint_puts() {
 fn e007_put_get_overlap() {
     let mut p = IrProgram::new(3, WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8 });
+    p.ranks[1].push(Stmt::Put { win: 0, target: 0, disp: 0, len: 8, val: 0xab });
     p.ranks[2].push(Stmt::Get { win: 0, target: 0, disp: 4, len: 8 });
     fence_all(&mut p, Close::Blocking);
     assert!(has_code(&analyze(&p), Code::E007));
@@ -221,9 +221,9 @@ fn reordered_fence_phases(second_disp: usize) -> IrProgram {
     p.unsafe_fence_reorder = true;
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Nonblocking },
-        Stmt::Put { win: 0, target: 1, disp: second_disp, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: second_disp, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Nonblocking },
         Stmt::WaitAll,
     ]);
@@ -262,7 +262,7 @@ fn e010_put_past_window_end() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: WIN - 4, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: WIN - 4, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert!(has_code(&analyze(&p), Code::E010));
@@ -273,7 +273,7 @@ fn e010_near_miss_put_to_window_end() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: WIN - 8, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: WIN - 8, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert_clean(&p);
@@ -336,7 +336,7 @@ fn e012_start_toward_crashed_peer() {
     p.crashed = vec![2];
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -351,7 +351,7 @@ fn e012_lock_on_crashed_peer() {
     p.crashed = vec![1];
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert!(has_code(&analyze(&p), Code::E012));
@@ -365,7 +365,7 @@ fn e012_not_reported_when_dependencies_avoid_the_crash() {
     p.crashed = vec![2];
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert!(!has_code(&analyze(&p), Code::E012));
@@ -381,7 +381,7 @@ fn e012_relaxed_for_recovered_peer() {
     p.recovered = vec![1];
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert!(!has_code(&analyze(&p), Code::E012));
@@ -397,7 +397,7 @@ fn e012_relaxation_is_per_rank() {
     for target in [1usize, 2] {
         p.ranks[0].extend([
             Stmt::Lock { win: 0, target, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target, disp: 0, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target, close: Close::Blocking },
         ]);
     }
@@ -475,7 +475,7 @@ fn e013_pscw_start_cycle() {
     for (me, peer) in [(0usize, 1usize), (1, 0)] {
         p.ranks[me].extend([
             Stmt::Start { win: 0, group: vec![peer] },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Complete { win: 0, close: Close::Blocking },
             Stmt::Post { win: 0, group: vec![peer] },
             Stmt::WaitEpoch { win: 0, close: Close::Blocking },
@@ -496,7 +496,7 @@ fn e013_near_miss_post_before_start() {
         p.ranks[me].extend([
             Stmt::Post { win: 0, group: vec![peer] },
             Stmt::Start { win: 0, group: vec![peer] },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Complete { win: 0, close: Close::Blocking },
             Stmt::WaitEpoch { win: 0, close: Close::Blocking },
         ]);
@@ -515,10 +515,10 @@ fn e014_lock_order_inversion() {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Flush { win: 0, target: Some(first), local_only: false, close: Close::Blocking },
             Stmt::Lock { win: 0, target: second, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
         ]);
@@ -533,10 +533,10 @@ fn e014_near_miss_consistent_order() {
     for me in [0usize, 1] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
             Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
             Stmt::Lock { win: 0, target: 2, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: 2, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: 2, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: 2, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         ]);
@@ -552,10 +552,10 @@ fn e014_near_miss_shared_locks_do_not_conflict() {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: false, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Flush { win: 0, target: Some(first), local_only: false, close: Close::Blocking },
             Stmt::Lock { win: 0, target: second, exclusive: false, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
         ]);
@@ -573,10 +573,10 @@ fn e014_near_miss_flush_local_does_not_establish() {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Flush { win: 0, target: Some(first), local_only: true, close: Close::Blocking },
             Stmt::Lock { win: 0, target: second, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
         ]);
@@ -594,9 +594,9 @@ fn e014_near_miss_unestablished_lazy_hold() {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Lock { win: 0, target: second, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
         ]);
@@ -613,7 +613,7 @@ fn e014_nonblocking_full_iflush_establishes_the_hold() {
     for (me, first, second) in [(0usize, 1usize, 2usize), (1, 2, 1)] {
         p.ranks[me].extend([
             Stmt::Lock { win: 0, target: first, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: first, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: first, disp: 0, len: 8, val: 0xab },
             Stmt::Flush {
                 win: 0,
                 target: Some(first),
@@ -621,7 +621,7 @@ fn e014_nonblocking_full_iflush_establishes_the_hold() {
                 close: Close::Nonblocking,
             },
             Stmt::Lock { win: 0, target: second, exclusive: true, nonblocking: false },
-            Stmt::Put { win: 0, target: second, disp: 8, len: 8 },
+            Stmt::Put { win: 0, target: second, disp: 8, len: 8, val: 0xab },
             Stmt::Unlock { win: 0, target: second, close: Close::Blocking },
             Stmt::Unlock { win: 0, target: first, close: Close::Blocking },
             Stmt::WaitAll,
@@ -639,7 +639,7 @@ fn e015_start_without_exposure() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     assert!(has_code(&analyze(&p), Code::E015));
@@ -650,7 +650,7 @@ fn e015_near_miss_matching_post() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     p.ranks[1].extend([
@@ -680,7 +680,7 @@ fn e016_fence_participation_mismatch() {
     // fence plane is collective per window, so rank 0 blocks forever.
     let mut p = IrProgram::new(2, WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     fence_all(&mut p, Close::Blocking);
     p.ranks[0].push(Stmt::Fence { win: 0, close: Close::Blocking });
     let diags = analyze(&p);
@@ -691,7 +691,7 @@ fn e016_fence_participation_mismatch() {
 fn e016_near_miss_equal_fence_counts() {
     let mut p = IrProgram::new(2, WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     fence_all(&mut p, Close::Blocking);
     assert_clean(&p);
 }
@@ -703,7 +703,7 @@ fn e016_per_window_fence_planes_are_independent() {
     let mut p = IrProgram::new(2, WIN);
     let w1 = p.add_window(WIN);
     fence_all(&mut p, Close::Blocking);
-    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     fence_all(&mut p, Close::Blocking);
     for r in 0..2 {
         p.ranks[r].push(Stmt::Fence { win: w1, close: Close::Blocking });
@@ -722,7 +722,7 @@ fn e017_wait_on_never_completing_request() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Nonblocking },
         Stmt::WaitAll,
     ]);
@@ -734,7 +734,7 @@ fn e017_near_miss_exposure_present() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Nonblocking },
         Stmt::WaitAll,
     ]);
@@ -821,7 +821,7 @@ fn e008_iflush_never_discharged() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -835,7 +835,7 @@ fn e008_near_miss_blocking_flush_discharges_iflush() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
@@ -849,9 +849,9 @@ fn e008_near_miss_flush_all_discharges_targeted_iflush() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::LockAll { win: 0 },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
-        Stmt::Put { win: 0, target: 2, disp: 8, len: 8 },
+        Stmt::Put { win: 0, target: 2, disp: 8, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(2), local_only: false, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: None, local_only: false, close: Close::Blocking },
         Stmt::UnlockAll { win: 0, close: Close::Blocking },
@@ -866,7 +866,7 @@ fn local_flush_does_not_discharge_remote_iflush() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: Some(1), local_only: true, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
@@ -1001,7 +1001,7 @@ fn w001_redundant_blocking_flush() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -1017,7 +1017,7 @@ fn w001_near_miss_flush_discharges_full_iflush() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
@@ -1034,7 +1034,7 @@ fn w001_localize_when_only_local_requests_ride() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: true, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
@@ -1058,7 +1058,7 @@ fn w002_fence_close_relaxable() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -1082,7 +1082,7 @@ fn w002_near_miss_conflicting_barrier_pins_the_fence() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -1106,7 +1106,7 @@ fn w003_unlock_relaxable() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -1126,7 +1126,7 @@ fn w003_near_miss_barrier_publishes_with_zero_slack() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -1156,7 +1156,7 @@ fn w004_over_wide_start_group() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -1177,8 +1177,8 @@ fn w004_near_miss_every_target_used() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
-        Stmt::Put { win: 0, target: 2, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
+        Stmt::Put { win: 0, target: 2, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -1214,7 +1214,7 @@ fn w005_near_miss_origin_operates_toward_exposer() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     p.ranks[1].extend([
@@ -1236,9 +1236,9 @@ fn reorder_pin_blocks_every_relaxation() {
         let peer = 1 - me;
         p.ranks[me].extend([
             Stmt::Fence { win: 0, close: Close::Blocking },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Fence { win: 0, close: Close::Blocking },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Fence { win: 0, close: Close::Blocking },
             Stmt::Barrier,
         ]);

@@ -47,7 +47,7 @@ fn fence_close_is_relaxed_to_nonblocking() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Blocking },
         Stmt::Barrier,
     ]);
@@ -69,7 +69,7 @@ fn redundant_flush_is_elided() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -92,7 +92,7 @@ fn flush_carrying_local_requests_is_localized() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: true, close: Close::Nonblocking },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Blocking },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
@@ -120,11 +120,11 @@ fn unlock_relaxation_inserts_wait_before_dependent_use() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 32, len: 8 },
-        Stmt::Put { win: 0, target: 1, disp: 40, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 32, len: 8, val: 0xab },
+        Stmt::Put { win: 0, target: 1, disp: 40, len: 8, val: 0xab },
         Stmt::Get { win: 0, target: 1, disp: 0, len: 8 },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
@@ -154,7 +154,7 @@ fn eop_deferred_findings_get_one_trailing_wait() {
             Stmt::Barrier,
         ]);
     }
-    p.ranks[0].insert(1, Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].insert(1, Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     let (rw, rep) = rewrite(&p);
     assert!(rep.relaxed > 0, "{rep:?}");
     for r in 0..2 {
@@ -184,7 +184,7 @@ fn unprofitable_relaxation_is_skipped_but_advisory_still_fires() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false },
         Stmt::Get { win: 0, target: 1, disp: 0, len: 8 },
@@ -219,7 +219,7 @@ fn contended_exclusive_unlock_is_never_relaxed() {
         for me in 0..2usize {
             p.ranks[me].extend([
                 Stmt::Lock { win: 0, target: 2, exclusive, nonblocking: false },
-                Stmt::Put { win: 0, target: 2, disp: me * 8, len: 8 },
+                Stmt::Put { win: 0, target: 2, disp: me * 8, len: 8, val: 0xab },
                 Stmt::Unlock { win: 0, target: 2, close: Close::Blocking },
                 Stmt::Barrier,
             ]);
@@ -252,7 +252,7 @@ fn overwide_start_group_is_shrunk_symmetrically() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -286,12 +286,12 @@ fn shrink_never_prunes_iflush_discharging_waits() {
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::WaitAll,
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Start { win: 0, group: vec![1, 2] },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
     for r in 1..3 {
@@ -331,9 +331,9 @@ fn reorder_pinned_program_is_untouched() {
         let peer = 1 - me;
         p.ranks[me].extend([
             Stmt::Fence { win: 0, close: Close::Blocking },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Fence { win: 0, close: Close::Blocking },
-            Stmt::Put { win: 0, target: peer, disp: 0, len: 8 },
+            Stmt::Put { win: 0, target: peer, disp: 0, len: 8, val: 0xab },
             Stmt::Fence { win: 0, close: Close::Blocking },
             Stmt::Barrier,
         ]);
@@ -349,7 +349,7 @@ fn already_relaxed_program_is_a_fixpoint() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Fence { win: 0, close: Close::Blocking },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Fence { win: 0, close: Close::Nonblocking },
         Stmt::WaitAll,
         Stmt::Barrier,
@@ -397,6 +397,40 @@ fn rewritten_programs_carry_no_advisories_left_behind() {
     }
 }
 
+/// `Stmt::Compute` is a no-op to every static pass: interleaving one after
+/// every statement changes no diagnostic, no slack verdict and no
+/// rewrite, whatever the program.
+#[test]
+fn compute_statements_are_invisible_to_static_passes() {
+    let strip = |p: &IrProgram| {
+        let mut q = p.clone();
+        for stmts in &mut q.ranks {
+            stmts.retain(|s| !matches!(s, Stmt::Compute { .. }));
+        }
+        q
+    };
+    let codes = |p: &IrProgram| analyze(p).iter().map(|d| d.code).collect::<Vec<_>>();
+    let verdicts = |p: &IrProgram| {
+        let r = analyze_slack(p);
+        let findings: Vec<_> = r.findings.iter().map(|f| (f.rank, f.kind, f.class)).collect();
+        let advisories: Vec<_> = r.diags.iter().map(|d| d.code).collect();
+        (findings, advisories)
+    };
+    let cases = mpisim_analyze::catalog_cases().into_iter().chain(slack_catalog_cases());
+    for (code, p) in cases {
+        let mut busy = p.clone();
+        for stmts in &mut busy.ranks {
+            *stmts = stmts.iter().flat_map(|s| [s.clone(), Stmt::Compute { ns: 500 }]).collect();
+        }
+        assert_eq!(codes(&busy), codes(&p), "{code}: diagnostics changed");
+        assert_eq!(verdicts(&busy), verdicts(&p), "{code}: slack verdicts changed");
+        let (rw, rep) = rewrite(&busy);
+        let (rw0, rep0) = rewrite(&p);
+        assert_eq!(strip(&rw), rw0, "{code}: rewrite output changed");
+        assert_eq!((rep.relaxed, rep.skipped), (rep0.relaxed, rep0.skipped), "{code}");
+    }
+}
+
 // ----------------------------------------------------- planted unsound
 
 #[test]
@@ -408,7 +442,7 @@ fn plant_unsound_deletes_exactly_one_sync() {
             Stmt::Fence { win: 0, close: Close::Blocking },
         ]);
     }
-    p.ranks[0].insert(1, Stmt::Put { win: 0, target: 1, disp: 0, len: 8 });
+    p.ranks[0].insert(1, Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab });
     let (sound, _) = rewrite_with(&p, RewriteMode::Sound);
     let (planted, rep) = rewrite_with(&p, RewriteMode::PlantUnsound);
     let (rank, _step) = rep.planted.expect("a victim sync must be recorded");
@@ -424,7 +458,7 @@ fn plant_unsound_falls_back_to_barrier() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Lock { win: 0, target: 1, exclusive: true, nonblocking: false },
-        Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
+        Stmt::Put { win: 0, target: 1, disp: 0, len: 8, val: 0xab },
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
         Stmt::Barrier,
     ]);

@@ -44,8 +44,8 @@ pub fn halo_ir(n_ranks: usize, iters: usize) -> IrProgram {
         let stmts = &mut p.ranks[me];
         stmts.push(Stmt::Fence { win: 0, close: Close::Blocking });
         for i in 0..iters {
-            stmts.push(Stmt::Put { win: 0, target: left, disp: 8, len: 8 });
-            stmts.push(Stmt::Put { win: 0, target: right, disp: (i % 2) * 24, len: 8 });
+            stmts.push(Stmt::Put { win: 0, target: left, disp: 8, len: 8, val: 0xab });
+            stmts.push(Stmt::Put { win: 0, target: right, disp: (i % 2) * 24, len: 8, val: 0xab });
             stmts.push(Stmt::Fence { win: 0, close: Close::Blocking });
         }
     }
@@ -76,8 +76,8 @@ pub fn stencil2d_ir(n_ranks: usize, iters: usize) -> IrProgram {
                     // North ghost row lands in the target's low half,
                     // south ghost row in its high half: the two origins
                     // writing any one target never overlap.
-                    stmts.push(Stmt::Put { win: 0, target: up, disp: 0, len: 32 });
-                    stmts.push(Stmt::Put { win: 0, target: down, disp: 32, len: 32 });
+                    stmts.push(Stmt::Put { win: 0, target: up, disp: 0, len: 32, val: 0xab });
+                    stmts.push(Stmt::Put { win: 0, target: down, disp: 32, len: 32, val: 0xab });
                     stmts.push(Stmt::Complete { win: 0, close: Close::Blocking });
                 } else {
                     stmts.push(Stmt::Post { win: 0, group: group.clone() });
@@ -104,7 +104,7 @@ pub fn lu_ir(n_ranks: usize, panels: usize) -> IrProgram {
                 let others: Vec<usize> = (0..n_ranks).filter(|&r| r != me).collect();
                 stmts.push(Stmt::Start { win: 0, group: others.clone() });
                 for t in others {
-                    stmts.push(Stmt::Put { win: 0, target: t, disp, len: 8 });
+                    stmts.push(Stmt::Put { win: 0, target: t, disp, len: 8, val: 0xab });
                 }
                 stmts.push(Stmt::Complete { win: 0, close: Close::Blocking });
             } else {

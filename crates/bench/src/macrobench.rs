@@ -396,8 +396,8 @@ fn halo_ir(n_ranks: usize, iters: usize) -> mpisim_analyze::IrProgram {
         let stmts = &mut p.ranks[me];
         stmts.push(Stmt::Fence { win: 0, close: mpisim_analyze::Close::Blocking });
         for i in 0..iters {
-            stmts.push(Stmt::Put { win: 0, target: left, disp: 8, len: 8 });
-            stmts.push(Stmt::Put { win: 0, target: right, disp: (i % 2) * 24, len: 8 });
+            stmts.push(Stmt::Put { win: 0, target: left, disp: 8, len: 8, val: 0xab });
+            stmts.push(Stmt::Put { win: 0, target: right, disp: (i % 2) * 24, len: 8, val: 0xab });
             stmts.push(Stmt::Fence { win: 0, close: mpisim_analyze::Close::Blocking });
         }
     }

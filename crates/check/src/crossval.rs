@@ -22,14 +22,14 @@
 //! cancellation is an observation.
 
 use mpisim_analyze::{
-    analyze, generate_negative, generate_value_clean, has_code, rewrite_with, NegFamily,
-    RewriteMode,
+    analyze, generate_negative, generate_value_clean, has_code, rewrite_with, IrProgram,
+    NegFamily, RewriteMode,
 };
 use mpisim_core::{Degradation, ExecMode, SyncStrategy};
 
 use crate::lower::lower;
 use crate::program::{generate, Family};
-use crate::run::{exec_ir, exec_ir_with, execute_exec, ExecOpts, RunFailure, RunOutcome, RunSpec};
+use crate::run::{exec_ir, exec_ir_with, run_ir, ExecOpts, RunOutcome, RunSpec};
 
 /// Outcome of one cross-validation sweep.
 #[derive(Clone, Debug, Default)]
@@ -363,27 +363,19 @@ pub fn crossval_rewrites(programs: u64, mode: RewriteMode) -> RewriteValReport {
 /// Outcome of one execution-mode determinism sweep ([`crossval_exec`]).
 #[derive(Clone, Debug, Default)]
 pub struct ExecValReport {
-    /// (program, close-mode) points swept.
+    /// Points swept: (program, close-mode) pairs plus the IR twins.
     pub programs: u64,
     /// Total executions (every point runs once per execution mode).
     pub runs: u64,
-    /// Mode comparisons that diverged from the thread-per-rank baseline
-    /// in any observable (verdict, memories, gets, stats, traces).
-    pub diverged: u64,
-    /// Points with at least one divergence. In plant mode this is the
-    /// detection count the exit-inverted self-test keys on; in clean mode
-    /// it must be zero.
+    /// Points whose pooled run diverged from the thread-per-rank baseline
+    /// in any observable (verdict, memories, gets, stats, traces). In
+    /// plant mode this is the detection count the exit-inverted self-test
+    /// keys on; in clean mode it must be zero.
     pub detected: u64,
     /// Human-readable description of every clean-mode divergence or
     /// run-level error.
     pub failures: Vec<String>,
 }
-
-/// The pooled variants compared against the thread-per-rank baseline:
-/// inline fiber resume on the driver thread, and a 2-worker pool (the
-/// smallest pool where fiber-to-worker assignment could matter).
-const EXEC_VARIANTS: [ExecMode; 2] =
-    [ExecMode::Pooled { workers: 0 }, ExecMode::Pooled { workers: 2 }];
 
 /// Everything two same-seed runs may legally differ in: nothing. Returns
 /// the names of the observables that diverged. Stats structs compare via
@@ -424,12 +416,25 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
     d
 }
 
+/// The apps crate's IR twins at 8 ranks, one iteration count each: the
+/// non-generated programs the determinism cross-check replays.
+fn ir_twins() -> [(&'static str, IrProgram); 5] {
+    use mpisim_apps::ir_models;
+    [
+        ("halo", ir_models::halo_ir(8, 4)),
+        ("stencil2d", ir_models::stencil2d_ir(8, 4)),
+        ("lu", ir_models::lu_ir(8, 4)),
+        ("transactions", ir_models::transactions_ir(8, 4)),
+        ("bank", ir_models::bank_ir(8, 4)),
+    ]
+}
+
 /// Execution-mode determinism cross-check: `programs` conformance
-/// programs per family, under both close modes, are executed under
-/// thread-per-rank and both pooled variants ([`EXEC_VARIANTS`]), and the
-/// three runs must be indistinguishable — same verdict, final memories,
-/// get results, `SimStats`, `EngineStats`, per-rank timings, and all
-/// three trace streams, byte for byte.
+/// programs per family, each lowered under both close modes, plus the
+/// five apps IR twins at 8 ranks, are executed under thread-per-rank and
+/// pooled fibers, and the two runs must be indistinguishable — same
+/// verdict, final memories, get results, `SimStats`, `EngineStats`,
+/// per-rank timings, and all three trace streams, byte for byte.
 ///
 /// With `plant` set, every run additionally enables the kernel's
 /// deliberately nondeterministic tie-break
@@ -438,59 +443,51 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
 /// exit-inverted self-test proving the cross-check would catch a
 /// nondeterministic kernel rather than vacuously passing.
 pub fn crossval_exec(programs: u64, plant: bool) -> ExecValReport {
-    let mut r = ExecValReport::default();
-    let fail = |res: &Result<RunOutcome, RunFailure>| match res {
-        Ok(_) => None,
-        Err(f) => Some(f.to_string()),
-    };
+    let mut points: Vec<(String, IrProgram, RunSpec)> = Vec::new();
     for family in Family::ALL {
         for idx in 0..programs {
             let program = generate(family, idx);
             for nonblocking in [false, true] {
-                r.programs += 1;
                 let spec = RunSpec {
                     sim_seed: 7 + idx,
                     ..RunSpec::baseline(SyncStrategy::Redesigned, nonblocking)
                 };
-                let base_eo =
-                    ExecOpts { exec: ExecMode::ThreadPerRank, nondet_tiebreak: plant };
-                r.runs += 1;
-                let base = execute_exec(&program, &spec, true, base_eo);
-                if let (Some(msg), false) = (fail(&base), plant) {
-                    r.failures.push(format!(
-                        "{family:?} #{idx} nb={nonblocking}: thread-per-rank run failed: {msg}"
-                    ));
-                    continue;
-                }
-                let mut point_diverged = false;
-                for exec in EXEC_VARIANTS {
-                    r.runs += 1;
-                    let out = execute_exec(&program, &spec, true, ExecOpts {
-                        exec,
-                        nondet_tiebreak: plant,
-                    });
-                    let diverged: Vec<&str> = match (&base, &out) {
-                        (Ok(a), Ok(b)) => exec_divergences(a, b),
-                        (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),
-                        _ => vec!["verdict"],
-                    };
-                    if diverged.is_empty() {
-                        continue;
-                    }
-                    r.diverged += 1;
-                    point_diverged = true;
-                    if !plant {
-                        r.failures.push(format!(
-                            "{family:?} #{idx} nb={nonblocking}: {exec:?} diverged from \
-                             thread-per-rank in [{}]",
-                            diverged.join(", ")
-                        ));
-                    }
-                }
-                if point_diverged {
-                    r.detected += 1;
-                }
+                points.push((
+                    format!("{family:?} #{idx} nb={nonblocking}"),
+                    lower(&program, nonblocking),
+                    spec,
+                ));
             }
+        }
+    }
+    let twin_spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
+    for (name, ir) in ir_twins() {
+        points.push((format!("{name} twin"), ir, twin_spec.clone()));
+    }
+    let mut r = ExecValReport::default();
+    for (tag, ir, spec) in points {
+        r.programs += 1;
+        r.runs += 2;
+        let run = |exec| run_ir(&ir, &spec, true, ExecOpts { exec, nondet_tiebreak: plant });
+        let base = run(ExecMode::ThreadPerRank);
+        if let (Err(f), false) = (&base, plant) {
+            r.failures.push(format!("{tag}: thread-per-rank run failed: {f}"));
+            continue;
+        }
+        let diverged: Vec<&str> = match (&base, &run(ExecMode::Pooled)) {
+            (Ok(a), Ok(b)) => exec_divergences(a, b),
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),
+            _ => vec!["verdict"],
+        };
+        if diverged.is_empty() {
+            continue;
+        }
+        r.detected += 1;
+        if !plant {
+            r.failures.push(format!(
+                "{tag}: pooled diverged from thread-per-rank in [{}]",
+                diverged.join(", ")
+            ));
         }
     }
     r
@@ -547,10 +544,10 @@ mod tests {
     #[test]
     fn exec_modes_are_indistinguishable_on_a_conformance_slice() {
         let r = crossval_exec(1, false);
-        assert_eq!(r.programs, 10, "5 families x 1 program x 2 close modes");
-        assert_eq!(r.runs, 30, "each point runs under 3 execution modes");
+        assert_eq!(r.programs, 15, "5 families x 1 program x 2 close modes + 5 twins");
+        assert_eq!(r.runs, 30, "each point runs under both execution modes");
         assert!(r.failures.is_empty(), "{:#?}", r.failures);
-        assert_eq!(r.diverged, 0);
+        assert_eq!(r.detected, 0);
     }
 
     #[test]

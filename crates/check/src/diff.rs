@@ -221,6 +221,7 @@ pub fn spec_for_seed(
         fault: fault.clone(),
         fault_plan: None,
         reliable: false,
+        watchdog: false,
         crash_at: None,
         bad_recovery: false,
     }

@@ -15,12 +15,21 @@
 //!   starvation ([`mpisim_net::NetParams::perturbation_profile`]);
 //! * the **simulation seed** re-rolls every jitter stream.
 //!
-//! Pipeline: [`program::generate`] → static analysis of the lowered call
-//! sequence ([`lower::lower`] + [`mpisim_analyze::analyze`]) →
-//! [`run::execute`] → oracle comparison + [`audit::audit`] + happens-before
-//! race detection ([`mpisim_analyze::detect_races`]), all via [`verify`] →
-//! on failure, [`shrink::shrink`] and [`shrink::reproducer`] emit a
-//! minimized ready-to-paste test.
+//! Pipeline: [`program::generate`] → [`lower::lower`] → static analysis
+//! of the lowered IR ([`mpisim_analyze::analyze`]) → execution of that
+//! same IR ([`run::execute`]) → oracle comparison + [`audit::audit`] +
+//! happens-before race detection ([`mpisim_analyze::detect_races`]), all
+//! via [`verify`] → on failure, [`shrink::shrink`] and
+//! [`shrink::reproducer`] emit a minimized ready-to-paste test.
+//!
+//! The lowered IR *is* the executed program: there is one executor, the
+//! IR interpreter in [`run`] ([`run::run_ir`]), and [`run::execute`] is
+//! just `lower` followed by it. So the program the analyzer certifies is
+//! byte for byte the program that runs, and every run knob of
+//! [`RunSpec`] and [`ExecOpts`] (network profile, tie-break, fault plan,
+//! reliability, crash/recovery, exec mode, trace) applies to any
+//! [`mpisim_analyze::IrProgram`] — generated, hand-written, an apps twin,
+//! or rewriter output.
 //!
 //! The harness proves it can catch real bugs by injecting them: the engine
 //! recognizes the fault names `"skip-grant"` (liveness: a dropped exposure
@@ -31,15 +40,15 @@
 //!
 //! The static deadlock analyzer gets the same treatment in
 //! [`crossval`]: the deadlock corpus must be flagged *and* stall under
-//! the armed watchdog ([`run::exec_ir`] executes IR programs directly),
-//! while analyzer-clean generated programs must run stall-free.
+//! the armed watchdog ([`run::exec_ir`]), while analyzer-clean generated
+//! programs must run stall-free.
 //!
 //! The pooled execution kernel is pinned to its thread-per-rank baseline
-//! in [`crossval::crossval_exec`]: a slice of the conformance corpus is
-//! replayed under every execution mode and must be byte-identical in
-//! verdicts, memories, stats, and traces — while `--inject nondet-exec`
-//! plants a genuinely nondeterministic kernel tie-break that the same
-//! comparison must catch.
+//! in [`crossval::crossval_exec`]: a slice of the conformance corpus plus
+//! the apps IR twins is replayed under both execution modes and must be
+//! byte-identical in verdicts, memories, stats, and traces — while
+//! `--inject nondet-exec` plants a genuinely nondeterministic kernel
+//! tie-break that the same comparison must catch.
 //!
 //! The synchronization-slack rewriter closes its own loop in
 //! [`crossval::crossval_rewrites`]: every conformance program the
@@ -82,7 +91,5 @@ pub use lower::lower;
 pub use mpisim_core::SyncStrategy;
 pub use program::{generate, oracle, Epoch, Family, Op, Program};
 pub use recovery::{crossval_recovery, crossval_recovery_bad, RecoveryValReport};
-pub use run::{
-    exec_ir, exec_ir_with, execute, execute_exec, ExecOpts, RunFailure, RunOutcome, RunSpec,
-};
+pub use run::{exec_ir, exec_ir_with, execute, run_ir, ExecOpts, RunFailure, RunOutcome, RunSpec};
 pub use shrink::{reproducer, shrink};

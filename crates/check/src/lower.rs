@@ -1,14 +1,17 @@
 //! Lower a generated [`Program`] into the analyzer's [`IrProgram`].
 //!
-//! The lowering mirrors [`crate::run::execute`] statement for statement —
-//! the exact call sequence each rank makes, including the blocking vs
-//! nonblocking close selection, the targets' cooperating fences and
-//! post/wait pairs, and the trailing `wait_all` — so that a clean verdict
-//! from the static analyzer speaks about precisely the program the runtime
-//! will execute. `mpisim-check` runs [`mpisim_analyze::analyze`] over this
-//! IR before executing anything: analyzer-clean is a precondition for
-//! every conformance run (analyzer-clean ⇒ oracle-clean ∧ audit-clean is
-//! the harness's soundness claim).
+//! The lowered IR *is* the executed program: [`crate::run::execute`] runs
+//! exactly `lower(program, spec.nonblocking)` through the one IR
+//! interpreter ([`crate::run::run_ir`]). Every call each rank makes is a
+//! statement here — the blocking vs nonblocking close selection, the
+//! targets' cooperating fences and post/wait pairs, the per-rank compute
+//! stagger of the multi-origin families, real put fill bytes and
+//! accumulate operands, and the trailing `wait_all` + barrier. So a clean
+//! verdict from the static analyzer speaks about precisely the program
+//! the runtime executes. `mpisim-check` runs [`mpisim_analyze::analyze`]
+//! over this IR before executing anything: analyzer-clean is a
+//! precondition for every conformance run (analyzer-clean ⇒ oracle-clean
+//! ∧ audit-clean is the harness's soundness claim).
 
 use mpisim_analyze::{Close, IrProgram, Stmt};
 use mpisim_core::ReduceOp;
@@ -17,22 +20,24 @@ use crate::program::{Epoch, Op, Program, MULTI_WIN_BYTES, WIN_BYTES};
 
 fn lower_op(win: usize, op: &Op) -> Stmt {
     match op {
-        Op::Put { target, disp, len, .. } => {
-            Stmt::Put { win, target: *target, disp: *disp, len: *len }
+        Op::Put { target, disp, val, len } => {
+            Stmt::Put { win, target: *target, disp: *disp, len: *len, val: *val }
         }
         Op::Get { target, disp, len } => {
             Stmt::Get { win, target: *target, disp: *disp, len: *len }
         }
-        Op::AccSum { target, slot, .. } => {
-            Stmt::Acc { win, target: *target, disp: slot * 8, len: 8, op: ReduceOp::Sum }
-        }
+        Op::AccSum { target, slot, operand } => acc_sum(win, *target, *slot, *operand),
     }
 }
 
-/// Lower one driven epoch on `win` into rank 0's statement stream,
-/// mirroring the executor (blocking open, `close`-mode close, and — in
-/// the multi-window family — a blocking flush before a lock epoch's
-/// close).
+/// `MPI_ACCUMULATE(SUM)` of the known u64 `operand` at slot `slot`.
+fn acc_sum(win: usize, target: usize, slot: usize, operand: u64) -> Stmt {
+    Stmt::AccVal { win, target, disp: slot * 8, op: ReduceOp::Sum, val: operand }
+}
+
+/// Lower one driven epoch on `win` into rank 0's statement stream:
+/// blocking open, `close`-mode close, and — in the multi-window family —
+/// a blocking flush before a lock epoch's close.
 fn lower_driver(stmts: &mut Vec<Stmt>, win: usize, e: &Epoch, n_ranks: usize, close: Close, flush_locks: bool) {
     match e {
         Epoch::Fence(ops) => {
@@ -97,7 +102,7 @@ pub fn lower(program: &Program, nonblocking: bool) -> IrProgram {
             p.ranks[0].push(Stmt::WaitAll);
             p.ranks[0].push(Stmt::Barrier);
             // Targets join every fence phase and expose for every GATS
-            // epoch (blocking closes on their side, as in the executor).
+            // epoch (blocking closes on their side).
             for r in 1..*n_ranks {
                 for e in epochs {
                     lower_target(&mut p.ranks[r], 0, e);
@@ -108,24 +113,17 @@ pub fn lower(program: &Program, nonblocking: bool) -> IrProgram {
         }
         Program::MultiOrigin { n_ranks, plan } => {
             let mut p = IrProgram::new(*n_ranks, MULTI_WIN_BYTES);
-            // `WinInfo::aaar()`: access-after-access reorder only.
+            // Reorder flags on. A lock-only program only ever forms
+            // (access, access) epoch pairs, so this is access-after-access
+            // reorder.
             p.reorder = true;
             for (r, txs) in plan.iter().enumerate() {
-                for (target, slot, _) in txs {
-                    p.ranks[r].push(Stmt::Lock {
-                        win: 0,
-                        target: *target,
-                        exclusive: true,
-                        nonblocking,
-                    });
-                    p.ranks[r].push(Stmt::Acc {
-                        win: 0,
-                        target: *target,
-                        disp: slot * 8,
-                        len: 8,
-                        op: ReduceOp::Sum,
-                    });
-                    p.ranks[r].push(Stmt::Unlock { win: 0, target: *target, close });
+                let stagger = (r as u64 * 97 + 13) % 500;
+                for &(target, slot, v) in txs {
+                    p.ranks[r].push(Stmt::Lock { win: 0, target, exclusive: true, nonblocking });
+                    p.ranks[r].push(acc_sum(0, target, slot, v));
+                    p.ranks[r].push(Stmt::Unlock { win: 0, target, close });
+                    p.ranks[r].push(Stmt::Compute { ns: stagger });
                 }
                 p.ranks[r].push(Stmt::WaitAll);
                 p.ranks[r].push(Stmt::Barrier);
@@ -138,18 +136,14 @@ pub fn lower(program: &Program, nonblocking: bool) -> IrProgram {
             // lock_all epochs serialize per rank (§VI.A rule 4).
             p.reorder = false;
             for (r, eps) in rounds.iter().enumerate() {
+                let stagger = (r as u64 * 131 + 29) % 400;
                 for accs in eps {
                     p.ranks[r].push(Stmt::LockAll { win: 0 });
-                    for (target, slot, _) in accs {
-                        p.ranks[r].push(Stmt::Acc {
-                            win: 0,
-                            target: *target,
-                            disp: slot * 8,
-                            len: 8,
-                            op: ReduceOp::Sum,
-                        });
+                    for &(target, slot, v) in accs {
+                        p.ranks[r].push(acc_sum(0, target, slot, v));
                     }
                     p.ranks[r].push(Stmt::UnlockAll { win: 0, close });
+                    p.ranks[r].push(Stmt::Compute { ns: stagger });
                 }
                 p.ranks[r].push(Stmt::WaitAll);
                 p.ranks[r].push(Stmt::Barrier);

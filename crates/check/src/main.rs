@@ -21,9 +21,10 @@
 //!   watchdog, while the satisfiable twin of every program is
 //!   analyzer-clean and runs stall-free.
 //! * `--execs N` — execution-mode determinism sweep width: N conformance
-//!   programs per family (both close modes) are replayed under
-//!   thread-per-rank and both pooled fiber modes, and the runs must be
-//!   byte-identical in verdicts, memories, stats, and traces; default 2.
+//!   programs per family (both close modes) plus the five apps IR twins
+//!   are replayed under thread-per-rank and pooled fibers, and the two
+//!   runs must be byte-identical in verdicts, memories, stats, and
+//!   traces; default 2.
 //!   `--inject nondet-exec` plants the kernel's deliberately
 //!   nondeterministic tie-break instead and exit-inverts: status 0 iff
 //!   the comparison observed the divergence.
@@ -285,12 +286,11 @@ fn main() -> ExitCode {
     if args.inject.as_deref() == Some("nondet-exec") {
         let r = mpisim_check::crossval_exec(args.execs.max(1), true);
         println!(
-            "mpisim-check: nondet-exec self-test, {} points ({} per family), {} runs, \
-             {} divergence(s) over {} point(s)",
+            "mpisim-check: nondet-exec self-test, {} points ({} per family + 5 IR twins), \
+             {} runs, {} divergent point(s)",
             r.programs,
             args.execs.max(1),
             r.runs,
-            r.diverged,
             r.detected
         );
         return if r.detected > 0 {
@@ -462,7 +462,7 @@ fn main() -> ExitCode {
     if args.inject.is_none() && args.faults.is_none() && args.execs > 0 {
         let r = mpisim_check::crossval_exec(args.execs, false);
         println!(
-            "  {:<18} {:>4} points x 3 exec modes ({} runs): {}",
+            "  {:<18} {:>4} points x 2 exec modes ({} runs): {}",
             "exec-crossval",
             r.programs,
             r.runs,

@@ -1,6 +1,6 @@
 //! Generated RMA programs and their sequential oracles.
 //!
-//! Three program families, each chosen so that a *sequential* replay of the
+//! Five program families, each chosen so that a *sequential* replay of the
 //! operations is a valid oracle for **every** legal schedule the simulator
 //! can produce under perturbation:
 //!
@@ -13,10 +13,14 @@
 //!   epoch per-channel FIFO keeps same-target operations ordered, so the
 //!   sequential replay still predicts every byte.
 //! * [`Family::MultiOriginSum`] — every rank fires `Sum` accumulates at
-//!   random targets through out-of-order (`A_A_A_R`) passive epochs.
-//!   Addition commutes, so the final contents are schedule-independent.
+//!   random targets, each in its own exclusive-lock epoch, with all four
+//!   reorder flags on and a per-rank compute stagger after every unlock.
+//!   A lock-only program only ever forms (access, access) epoch pairs, so
+//!   the flags amount to out-of-order `A_A_A_R` passive epochs. Addition
+//!   commutes, so the final contents are schedule-independent.
 //! * [`Family::LockAllStorm`] — every rank opens a sequence of `lock_all`
-//!   epochs, each batching `Sum` accumulates at random targets. Shared
+//!   epochs, each batching `Sum` accumulates at random targets and
+//!   followed by a per-rank compute stagger. Shared
 //!   locks from all ranks contend at every target simultaneously and
 //!   back-to-back `lock_all` epochs exercise the deferral/activation
 //!   machinery (§VII.A); commutativity of `Sum` keeps the sequential
@@ -126,7 +130,8 @@ pub enum Family {
     MixedSerial,
     /// Single origin, all reorder flags on, per-epoch disjoint regions.
     DisjointReorder,
-    /// Every rank accumulates sums through `A_A_A_R` lock epochs.
+    /// Every rank accumulates sums through reorderable (`A_A_A_R`) lock
+    /// epochs.
     MultiOriginSum,
     /// Every rank accumulates sums through back-to-back `lock_all` epochs.
     LockAllStorm,
@@ -395,8 +400,8 @@ pub fn oracle(program: &Program) -> Expected {
         }
         Program::MultiWindow { n_ranks, n_wins, epochs } => {
             // Per-rank memory is the concatenation of that rank's windows
-            // in allocation order — the executor reads them back the same
-            // way.
+            // in allocation order — the interpreter reads them back the
+            // same way.
             let mut mem = vec![vec![0u8; WIN_BYTES * n_wins]; *n_ranks];
             let mut gets = Vec::new();
             for (w, e) in epochs {

@@ -1,25 +1,33 @@
-//! Drive one generated program through the real runtime under one point of
-//! the exploration matrix: strategy × API flavour × network perturbation ×
-//! tie-break seed, with tracing always on so every run can be audited.
+//! The one executor: run an analyzer [`IrProgram`] through the real
+//! runtime under one point of the exploration matrix — strategy × network
+//! perturbation × tie-break seed × fault plan × crash point × exec mode.
+//!
+//! A generated [`Program`] has no executor of its own: [`execute`] lowers
+//! it ([`crate::lower::lower`]) and runs the IR, so the program the
+//! analyzer certifies is the program that runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
+use mpisim_analyze::{Close, FetchKind, IrProgram, Stmt};
 use mpisim_core::{
-    run_job, Datatype, ExecMode, Group, JobConfig, JobReport, LockKind, Rank, RecoveryCfg,
-    ReduceOp, RmaResult, SyncStrategy, WinInfo,
+    run_job, Datatype, ExecMode, Group, JobConfig, JobReport, LockKind, Rank, RankEnv,
+    RecoveryCfg, ReduceOp, Req, RmaResult, SyncStrategy, WinId, WinInfo,
 };
 use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
 
-use crate::program::{Epoch, Op, Program, StormRounds, MULTI_WIN_BYTES, WIN_BYTES};
+use crate::lower::lower;
+use crate::program::Program;
 
 /// One point of the exploration matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunSpec {
     /// Engine strategy.
     pub strategy: SyncStrategy,
-    /// Close every epoch with the `i`-routines and wait at the end.
+    /// Close every epoch with the `i`-routines and wait at the end. Read
+    /// by [`execute`] when it lowers a generated program; an
+    /// [`IrProgram`] spells out its closes itself.
     pub nonblocking: bool,
     /// Index into [`NetParams::perturbation_profile`] (latency jitter ×
     /// credit starvation grid).
@@ -41,6 +49,13 @@ pub struct RunSpec {
     /// `fault_plan`; left off in storm self-tests to prove the harness
     /// detects unprotected fault damage.
     pub reliable: bool,
+    /// Arm the stall watchdog and keep walking past failed calls: the
+    /// deadlock cross-validation's mode, where statements after a
+    /// cancelled epoch may legitimately fail and a deadlocking program
+    /// must still terminate — degraded, with one
+    /// [`mpisim_core::StallReport`] per cancelled epoch. Off, every call
+    /// must succeed, and a failed call panics its rank.
+    pub watchdog: bool,
     /// Crash one rank at one epoch-commit point: `(rank, commit)` crashes
     /// the rank's NIC the moment it completes its `commit`-th epoch commit
     /// (1-based, rank-wide ordinal). Setting this arms the full recovery
@@ -67,6 +82,7 @@ impl RunSpec {
             fault: None,
             fault_plan: None,
             reliable: false,
+            watchdog: false,
             crash_at: None,
             bad_recovery: false,
         }
@@ -90,12 +106,13 @@ impl RunSpec {
             "RunSpec {{\n        strategy: {strategy},\n        nonblocking: {},\n        \
              net_profile: {},\n        tiebreak_seed: {:?},\n        sim_seed: {},\n        \
              fault: {fault},\n        fault_plan: {fault_plan},\n        reliable: {},\n        \
-             crash_at: {:?},\n        bad_recovery: {},\n    }}",
+             watchdog: {},\n        crash_at: {:?},\n        bad_recovery: {},\n    }}",
             self.nonblocking,
             self.net_profile,
             self.tiebreak_seed,
             self.sim_seed,
             self.reliable,
+            self.watchdog,
             self.crash_at,
             self.bad_recovery
         )
@@ -105,9 +122,9 @@ impl RunSpec {
 /// What a successful run produced.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// Final window bytes per rank.
+    /// Final window bytes per rank (every window, in allocation order).
     pub mems: Vec<Vec<u8>>,
-    /// Get results in program order (single-origin programs).
+    /// Get results: rank by rank, each rank's in program order.
     pub gets: Vec<Vec<u8>>,
     /// The full job report (traces, stats) for auditing.
     pub report: JobReport,
@@ -118,7 +135,7 @@ pub struct RunOutcome {
 pub enum RunFailure {
     /// The simulation deadlocked (or hit the event cap).
     Deadlock(String),
-    /// A rank panicked (failed assertion, engine invariant, …).
+    /// A rank panicked (failed call, engine invariant, …).
     Panic(String),
 }
 
@@ -163,7 +180,10 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, eo: ExecOpts) -> JobC
         );
     }
     if spec.reliable {
-        cfg = cfg.with_reliability().with_watchdog(SimTime::from_millis(20));
+        cfg = cfg.with_reliability();
+    }
+    if spec.reliable || spec.watchdog {
+        cfg = cfg.with_watchdog(SimTime::from_millis(20));
     }
     if let Some((rank, commit)) = spec.crash_at {
         // A crash must sever real internode traffic, so placement follows
@@ -191,336 +211,12 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, eo: ExecOpts) -> JobC
     cfg
 }
 
-fn issue(
-    env: &mpisim_core::RankEnv,
-    win: mpisim_core::WinId,
-    ops: &[Op],
-    gets: &mut Vec<mpisim_core::Req>,
-) -> RmaResult<()> {
-    for op in ops {
-        match op {
-            Op::Put { target, disp, val, len } => {
-                env.put(win, Rank(*target), *disp, &vec![*val; *len])?;
-            }
-            Op::AccSum { target, slot, operand } => {
-                env.accumulate(
-                    win,
-                    Rank(*target),
-                    slot * 8,
-                    Datatype::U64,
-                    ReduceOp::Sum,
-                    &operand.to_le_bytes(),
-                )?;
-            }
-            Op::Get { target, disp, len } => {
-                gets.push(env.get(win, Rank(*target), *disp, *len)?);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn execute_single_origin(
-    n_ranks: usize,
-    reorder: bool,
-    epochs: Arc<Vec<Epoch>>,
-    spec: &RunSpec,
-    trace: bool,
-    eo: ExecOpts,
-) -> Result<RunOutcome, RunFailure> {
-    let nonblocking = spec.nonblocking;
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let gets = Arc::new(Mutex::new(Vec::new()));
-    let (m2, g2) = (mems.clone(), gets.clone());
-    let info = if reorder { WinInfo::all_reorder() } else { WinInfo::default() };
-
-    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
-        let me = env.rank().idx();
-        let win = env.win_allocate_with(WIN_BYTES, info).unwrap();
-        env.barrier().unwrap();
-        if me == 0 {
-            let mut pending = Vec::new();
-            let mut get_reqs = Vec::new();
-            for e in epochs.iter() {
-                match e {
-                    Epoch::Fence(ops) => {
-                        env.fence(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.ifence(win).unwrap());
-                        } else {
-                            env.fence(win).unwrap();
-                        }
-                    }
-                    Epoch::Gats(ops) => {
-                        env.start(win, Group::new(1..n_ranks)).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.icomplete(win).unwrap());
-                        } else {
-                            env.complete(win).unwrap();
-                        }
-                    }
-                    Epoch::Lock { target, ops } => {
-                        env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock(win, Rank(*target)).unwrap());
-                        } else {
-                            env.unlock(win, Rank(*target)).unwrap();
-                        }
-                    }
-                    Epoch::LockAll(ops) => {
-                        env.lock_all(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock_all(win).unwrap());
-                        } else {
-                            env.unlock_all(win).unwrap();
-                        }
-                    }
-                }
-            }
-            env.wait_all(pending).unwrap();
-            let mut out = Vec::new();
-            for r in get_reqs {
-                out.push(env.wait_data(r).unwrap().to_vec());
-            }
-            *g2.lock().unwrap() = out;
-        } else {
-            // Targets: join every fence phase, expose for every GATS epoch.
-            for e in epochs.iter() {
-                match e {
-                    Epoch::Fence(_) => {
-                        env.fence(win).unwrap();
-                        env.fence(win).unwrap();
-                    }
-                    Epoch::Gats(_) => {
-                        env.post(win, Group::single(Rank(0))).unwrap();
-                        env.wait_epoch(win).unwrap();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        env.barrier().unwrap();
-        m2.lock().unwrap()[me] = env.read_local(win, 0, WIN_BYTES).unwrap();
-        env.win_free(win).unwrap();
-    })?;
-    let mems = mems.lock().unwrap().clone();
-    let gets = gets.lock().unwrap().clone();
-    Ok(RunOutcome { mems, gets, report })
-}
-
-fn execute_multi_origin(
-    n_ranks: usize,
-    plan: Arc<Vec<Vec<(usize, usize, u64)>>>,
-    spec: &RunSpec,
-    trace: bool,
-    eo: ExecOpts,
-) -> Result<RunOutcome, RunFailure> {
-    let nonblocking = spec.nonblocking;
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let m2 = mems.clone();
-
-    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
-        let me = env.rank().idx();
-        let win = env.win_allocate_with(MULTI_WIN_BYTES, WinInfo::aaar()).unwrap();
-        env.barrier().unwrap();
-        let mut pend = Vec::new();
-        for (target, slot, v) in &plan[me] {
-            if nonblocking {
-                // The dummy epoch-open request completes at creation but
-                // must still be consumed via test/wait (§VII.C).
-                pend.push(env.ilock(win, Rank(*target), LockKind::Exclusive).unwrap());
-            } else {
-                env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
-            }
-            env.accumulate(
-                win,
-                Rank(*target),
-                slot * 8,
-                Datatype::U64,
-                ReduceOp::Sum,
-                &v.to_le_bytes(),
-            )
-            .unwrap();
-            if nonblocking {
-                pend.push(env.iunlock(win, Rank(*target)).unwrap());
-            } else {
-                env.unlock(win, Rank(*target)).unwrap();
-            }
-            env.compute(SimTime::from_nanos(((me as u64) * 97 + 13) % 500));
-        }
-        env.wait_all(pend).unwrap();
-        env.barrier().unwrap();
-        m2.lock().unwrap()[me] = env.read_local(win, 0, MULTI_WIN_BYTES).unwrap();
-        env.win_free(win).unwrap();
-    })?;
-    let mems = mems.lock().unwrap().clone();
-    Ok(RunOutcome { mems, gets: Vec::new(), report })
-}
-
-fn execute_lock_all_storm(
-    n_ranks: usize,
-    rounds: Arc<StormRounds>,
-    spec: &RunSpec,
-    trace: bool,
-    eo: ExecOpts,
-) -> Result<RunOutcome, RunFailure> {
-    let nonblocking = spec.nonblocking;
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let m2 = mems.clone();
-
-    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
-        let me = env.rank().idx();
-        let win = env.win_allocate_with(MULTI_WIN_BYTES, WinInfo::default()).unwrap();
-        env.barrier().unwrap();
-        let mut pend = Vec::new();
-        for accs in &rounds[me] {
-            if nonblocking {
-                pend.push(env.ilock_all(win).unwrap());
-            } else {
-                env.lock_all(win).unwrap();
-            }
-            for (target, slot, v) in accs {
-                env.accumulate(
-                    win,
-                    Rank(*target),
-                    slot * 8,
-                    Datatype::U64,
-                    ReduceOp::Sum,
-                    &v.to_le_bytes(),
-                )
-                .unwrap();
-            }
-            if nonblocking {
-                pend.push(env.iunlock_all(win).unwrap());
-            } else {
-                env.unlock_all(win).unwrap();
-            }
-            env.compute(SimTime::from_nanos(((me as u64) * 131 + 29) % 400));
-        }
-        env.wait_all(pend).unwrap();
-        env.barrier().unwrap();
-        m2.lock().unwrap()[me] = env.read_local(win, 0, MULTI_WIN_BYTES).unwrap();
-        env.win_free(win).unwrap();
-    })?;
-    let mems = mems.lock().unwrap().clone();
-    Ok(RunOutcome { mems, gets: Vec::new(), report })
-}
-
-fn execute_multi_window(
-    n_ranks: usize,
-    n_wins: usize,
-    epochs: Arc<Vec<(usize, Epoch)>>,
-    spec: &RunSpec,
-    trace: bool,
-    eo: ExecOpts,
-) -> Result<RunOutcome, RunFailure> {
-    let nonblocking = spec.nonblocking;
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let gets = Arc::new(Mutex::new(Vec::new()));
-    let (m2, g2) = (mems.clone(), gets.clone());
-
-    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
-        let me = env.rank().idx();
-        // `win_allocate_with` is collective, so sequential allocation
-        // yields the same window ids on every rank.
-        let wins: Vec<_> = (0..n_wins)
-            .map(|_| env.win_allocate_with(WIN_BYTES, WinInfo::default()).unwrap())
-            .collect();
-        env.barrier().unwrap();
-        if me == 0 {
-            let mut pending = Vec::new();
-            let mut get_reqs = Vec::new();
-            for (w, e) in epochs.iter() {
-                let win = wins[*w];
-                match e {
-                    Epoch::Fence(ops) => {
-                        env.fence(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.ifence(win).unwrap());
-                        } else {
-                            env.fence(win).unwrap();
-                        }
-                    }
-                    Epoch::Gats(ops) => {
-                        env.start(win, Group::new(1..n_ranks)).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.icomplete(win).unwrap());
-                        } else {
-                            env.complete(win).unwrap();
-                        }
-                    }
-                    Epoch::Lock { target, ops } => {
-                        env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        // The family's distinguishing feature: remote
-                        // completion forced mid-epoch.
-                        env.flush(win, Rank(*target)).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock(win, Rank(*target)).unwrap());
-                        } else {
-                            env.unlock(win, Rank(*target)).unwrap();
-                        }
-                    }
-                    Epoch::LockAll(ops) => {
-                        env.lock_all(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock_all(win).unwrap());
-                        } else {
-                            env.unlock_all(win).unwrap();
-                        }
-                    }
-                }
-            }
-            env.wait_all(pending).unwrap();
-            let mut out = Vec::new();
-            for r in get_reqs {
-                out.push(env.wait_data(r).unwrap().to_vec());
-            }
-            *g2.lock().unwrap() = out;
-        } else {
-            for (w, e) in epochs.iter() {
-                let win = wins[*w];
-                match e {
-                    Epoch::Fence(_) => {
-                        env.fence(win).unwrap();
-                        env.fence(win).unwrap();
-                    }
-                    Epoch::Gats(_) => {
-                        env.post(win, Group::single(Rank(0))).unwrap();
-                        env.wait_epoch(win).unwrap();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        env.barrier().unwrap();
-        let mut all = Vec::new();
-        for w in &wins {
-            all.extend(env.read_local(*w, 0, WIN_BYTES).unwrap());
-        }
-        m2.lock().unwrap()[me] = all;
-        for w in wins {
-            env.win_free(w).unwrap();
-        }
-    })?;
-    let mems = mems.lock().unwrap().clone();
-    let gets = gets.lock().unwrap().clone();
-    Ok(RunOutcome { mems, gets, report })
-}
-
 /// `run_job` with both failure modes mapped into [`RunFailure`]: a
 /// simulated deadlock surfaces as `Err(SimError)`, an engine/rank panic
 /// unwinds through `sim.run()`.
 fn run_guarded<F>(cfg: JobConfig, f: F) -> Result<JobReport, RunFailure>
 where
-    F: Fn(&mut mpisim_core::RankEnv) + Send + Sync + 'static,
+    F: Fn(&mut RankEnv) + Send + Sync + 'static,
 {
     match catch_unwind(AssertUnwindSafe(|| run_job(cfg, f))) {
         Ok(Ok(report)) => Ok(report),
@@ -551,50 +247,31 @@ pub fn execute_with_trace(
     spec: &RunSpec,
     trace: bool,
 ) -> Result<RunOutcome, RunFailure> {
-    execute_exec(program, spec, trace, ExecOpts::default())
+    run_ir(&lower(program, spec.nonblocking), spec, trace, ExecOpts::default())
 }
 
-/// Execute `program` under `spec` with an explicit kernel execution mode.
-/// The determinism cross-check replays the same (program, spec) point
-/// under thread-per-rank and both pooled variants and requires the runs
-/// to be byte-identical in everything observable.
-pub fn execute_exec(
-    program: &Program,
+/// Run `p` under `spec` and `eo` as a complete program: after its last
+/// statement every rank waits for its outstanding requests, consumes its
+/// `Get` results, reads back every window behind a barrier, and frees the
+/// windows. Freeing retires dormant trailing fences and rejects a window
+/// with an epoch still open, which the trace audit relies on.
+pub fn run_ir(
+    p: &IrProgram,
     spec: &RunSpec,
     trace: bool,
     eo: ExecOpts,
 ) -> Result<RunOutcome, RunFailure> {
-    match program {
-        Program::SingleOrigin { n_ranks, reorder, epochs } => {
-            execute_single_origin(*n_ranks, *reorder, Arc::new(epochs.clone()), spec, trace, eo)
-        }
-        Program::MultiOrigin { n_ranks, plan } => {
-            execute_multi_origin(*n_ranks, Arc::new(plan.clone()), spec, trace, eo)
-        }
-        Program::LockAllStorm { n_ranks, rounds } => {
-            execute_lock_all_storm(*n_ranks, Arc::new(rounds.clone()), spec, trace, eo)
-        }
-        Program::MultiWindow { n_ranks, n_wins, epochs } => {
-            execute_multi_window(*n_ranks, *n_wins, Arc::new(epochs.clone()), spec, trace, eo)
-        }
-    }
+    exec_ir_inner(p, spec, trace, eo, Finish::CaptureAndFree)
 }
 
-/// Execute an analyzer [`IrProgram`] directly against the runtime: every
-/// rank walks its statement list, allocating the program's windows up
-/// front and collecting nonblocking-close requests until the next
-/// `WaitAll`. With `watchdog` set the stall watchdog is armed, so even a
-/// deadlocking program terminates — degraded, with one
-/// [`mpisim_core::StallReport`] per cancelled epoch — which is exactly
-/// the property the deadlock cross-validation measures. Call results are
-/// deliberately not unwrapped: statements after a cancelled epoch may
-/// return protocol errors, and the interpreter's job is to keep walking.
-pub fn exec_ir(
-    p: &mpisim_analyze::IrProgram,
-    watchdog: bool,
-    sim_seed: u64,
-) -> Result<mpisim_core::JobReport, RunFailure> {
-    exec_ir_inner(p, watchdog, sim_seed, None, None)
+/// Execute an analyzer [`IrProgram`] on the calibrated baseline network
+/// and return its job report. With `watchdog` set the stall watchdog is
+/// armed and the interpreter keeps walking past failed calls (see
+/// [`RunSpec::watchdog`]), so even a deadlocking program terminates —
+/// which is exactly the property the deadlock cross-validation measures.
+pub fn exec_ir(p: &IrProgram, watchdog: bool, sim_seed: u64) -> Result<JobReport, RunFailure> {
+    let spec = ir_spec(watchdog, sim_seed, SyncStrategy::Redesigned);
+    Ok(exec_ir_inner(p, &spec, true, ExecOpts::default(), Finish::Report)?.report)
 }
 
 /// [`exec_ir`] for the rewrite-equivalence validator: runs under an
@@ -604,190 +281,179 @@ pub fn exec_ir(
 /// the original-vs-rewritten differential comparison possible for IR
 /// programs.
 pub fn exec_ir_with(
-    p: &mpisim_analyze::IrProgram,
+    p: &IrProgram,
     watchdog: bool,
     sim_seed: u64,
     strategy: SyncStrategy,
-) -> Result<(Vec<Vec<u8>>, mpisim_core::JobReport), RunFailure> {
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); p.n_ranks]));
-    let report = exec_ir_inner(p, watchdog, sim_seed, Some(strategy), Some(mems.clone()))?;
-    let mems = mems.lock().unwrap().clone();
-    Ok((mems, report))
+) -> Result<(Vec<Vec<u8>>, JobReport), RunFailure> {
+    let spec = ir_spec(watchdog, sim_seed, strategy);
+    let out = exec_ir_inner(p, &spec, true, ExecOpts::default(), Finish::Capture)?;
+    Ok((out.mems, out.report))
+}
+
+fn ir_spec(watchdog: bool, sim_seed: u64, strategy: SyncStrategy) -> RunSpec {
+    RunSpec { sim_seed, watchdog, ..RunSpec::baseline(strategy, false) }
+}
+
+/// What every rank does once its statements and the final `wait_all`
+/// are done (and its `Get` results are consumed).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// Nothing more: the job report is the whole result.
+    Report,
+    /// A barrier, then a local read of every window.
+    Capture,
+    /// [`Finish::Capture`], then `win_free` on every window.
+    CaptureAndFree,
+}
+
+/// The result of one call: with `keep_walking` a failure is dropped so
+/// the rank walks on; otherwise it panics the rank.
+fn ok<T>(keep_walking: bool, r: RmaResult<T>) -> Option<T> {
+    match r {
+        Ok(v) => Some(v),
+        Err(_) if keep_walking => None,
+        Err(e) => panic!("call failed: {e:?}"),
+    }
+}
+
+/// Issue one value-producing read and block for its 8-byte result.
+fn fetch_value(
+    env: &RankEnv,
+    w: WinId,
+    target: usize,
+    disp: usize,
+    kind: FetchKind,
+    keep_walking: bool,
+) -> Option<u64> {
+    let one = 1u64.to_le_bytes();
+    let req = match kind {
+        FetchKind::Get => env.get(w, Rank(target), disp, 8),
+        FetchKind::GetAcc(op) => env.get_accumulate(w, Rank(target), disp, Datatype::U64, op, &one),
+        FetchKind::FetchOp(op) => env.fetch_and_op(w, Rank(target), disp, Datatype::U64, op, &one),
+    };
+    let req = ok(keep_walking, req)?;
+    let bytes = ok(keep_walking, env.wait_data(req))?;
+    let mut buf = [0u8; 8];
+    let n = bytes.len().min(8);
+    buf[..n].copy_from_slice(&bytes[..n]);
+    Some(u64::from_le_bytes(buf))
 }
 
 fn exec_ir_inner(
-    p: &mpisim_analyze::IrProgram,
-    watchdog: bool,
-    sim_seed: u64,
-    strategy: Option<SyncStrategy>,
-    capture: Option<Arc<Mutex<Vec<Vec<u8>>>>>,
-) -> Result<mpisim_core::JobReport, RunFailure> {
+    p: &IrProgram,
+    spec: &RunSpec,
+    trace: bool,
+    eo: ExecOpts,
+    finish: Finish,
+) -> Result<RunOutcome, RunFailure> {
     let n_ranks = p.n_ranks;
-    let mut cfg = JobConfig::new(n_ranks).with_seed(sim_seed);
-    cfg.trace = true;
-    cfg.fault = Some(String::new());
-    if let Some(s) = strategy {
-        cfg = cfg.with_strategy(s);
-    }
-    if watchdog {
-        cfg = cfg.with_watchdog(SimTime::from_millis(20));
-    }
+    let kw = spec.watchdog;
+    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
+    let gets = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
+    let (m2, g2) = (mems.clone(), gets.clone());
     let prog = Arc::new(p.clone());
-    run_guarded(cfg, move |env| {
-        use mpisim_analyze::{Close, Stmt};
-        /// Issue one value-producing read and block for its 8-byte result.
-        fn fetch_value(
-            env: &mpisim_core::RankEnv,
-            w: mpisim_core::WinId,
-            target: usize,
-            disp: usize,
-            kind: mpisim_analyze::FetchKind,
-        ) -> Option<u64> {
-            use mpisim_analyze::FetchKind as F;
-            let req = match kind {
-                F::Get => env.get(w, Rank(target), disp, 8),
-                F::GetAcc(op) => {
-                    env.get_accumulate(w, Rank(target), disp, Datatype::U64, op, &1u64.to_le_bytes())
-                }
-                F::FetchOp(op) => {
-                    env.fetch_and_op(w, Rank(target), disp, Datatype::U64, op, &1u64.to_le_bytes())
-                }
-            }
-            .ok()?;
-            let bytes = env.wait_data(req).ok()?;
-            let mut buf = [0u8; 8];
-            let n = bytes.len().min(8);
-            buf[..n].copy_from_slice(&bytes[..n]);
-            Some(u64::from_le_bytes(buf))
-        }
+    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
         let me = env.rank().idx();
         let info = if prog.reorder { WinInfo::all_reorder() } else { WinInfo::default() };
         let wins: Vec<_> = prog
             .windows
             .iter()
-            .map(|bytes| env.win_allocate_with(*bytes, info).unwrap())
+            .map(|bytes| env.win_allocate_with(*bytes, info).expect("window allocation"))
             .collect();
-        let mut pending: Vec<mpisim_core::Req> = Vec::new();
+        let mut pending: Vec<Req> = Vec::new();
+        let mut get_reqs: Vec<Req> = Vec::new();
         // Value locals: binding provenance (win, target, disp, kind) plus
         // the last value fetched into the local.
-        let mut locals: std::collections::BTreeMap<
-            usize,
-            (usize, usize, usize, mpisim_analyze::FetchKind, u64),
-        > = std::collections::BTreeMap::new();
-        let nb = |res: RmaResult<mpisim_core::Req>, pending: &mut Vec<mpisim_core::Req>| {
-            if let Ok(r) = res {
-                pending.push(r);
+        let mut locals: std::collections::BTreeMap<usize, (usize, usize, usize, FetchKind, u64)> =
+            std::collections::BTreeMap::new();
+        let close = |c: Close,
+                     blocking: &dyn Fn() -> RmaResult<()>,
+                     nonblocking: &dyn Fn() -> RmaResult<Req>,
+                     pending: &mut Vec<Req>| match c {
+            Close::Blocking => {
+                ok(kw, blocking());
             }
+            Close::Nonblocking => pending.extend(ok(kw, nonblocking())),
+        };
+        let acc = |w: WinId, target: usize, disp: usize, op: ReduceOp, val: u64| {
+            ok(kw, env.accumulate(w, Rank(target), disp, Datatype::U64, op, &val.to_le_bytes()));
         };
         for stmt in &prog.ranks[me] {
             match stmt {
-                Stmt::Fence { win, close } => match close {
-                    Close::Blocking => {
-                        let _ = env.fence(wins[*win]);
-                    }
-                    Close::Nonblocking => nb(env.ifence(wins[*win]), &mut pending),
-                },
+                Stmt::Fence { win, close: c } => {
+                    let w = wins[*win];
+                    close(*c, &|| env.fence(w), &|| env.ifence(w), &mut pending);
+                }
                 Stmt::Start { win, group } => {
-                    let _ = env.start(wins[*win], Group::new(group.iter().copied()));
+                    ok(kw, env.start(wins[*win], Group::new(group.iter().copied())));
                 }
-                Stmt::Complete { win, close } => match close {
-                    Close::Blocking => {
-                        let _ = env.complete(wins[*win]);
-                    }
-                    Close::Nonblocking => nb(env.icomplete(wins[*win]), &mut pending),
-                },
+                Stmt::Complete { win, close: c } => {
+                    let w = wins[*win];
+                    close(*c, &|| env.complete(w), &|| env.icomplete(w), &mut pending);
+                }
                 Stmt::Post { win, group } => {
-                    let _ = env.post(wins[*win], Group::new(group.iter().copied()));
+                    ok(kw, env.post(wins[*win], Group::new(group.iter().copied())));
                 }
-                Stmt::WaitEpoch { win, close } => match close {
-                    Close::Blocking => {
-                        let _ = env.wait_epoch(wins[*win]);
-                    }
-                    Close::Nonblocking => nb(env.iwait(wins[*win]), &mut pending),
-                },
+                Stmt::WaitEpoch { win, close: c } => {
+                    let w = wins[*win];
+                    close(*c, &|| env.wait_epoch(w), &|| env.iwait(w), &mut pending);
+                }
                 Stmt::Lock { win, target, exclusive, nonblocking } => {
                     let kind = if *exclusive { LockKind::Exclusive } else { LockKind::Shared };
-                    if *nonblocking {
-                        nb(env.ilock(wins[*win], Rank(*target), kind), &mut pending);
-                    } else {
-                        let _ = env.lock(wins[*win], Rank(*target), kind);
-                    }
+                    let (w, t) = (wins[*win], Rank(*target));
+                    let c = if *nonblocking { Close::Nonblocking } else { Close::Blocking };
+                    close(c, &|| env.lock(w, t, kind), &|| env.ilock(w, t, kind), &mut pending);
                 }
-                Stmt::Unlock { win, target, close } => match close {
-                    Close::Blocking => {
-                        let _ = env.unlock(wins[*win], Rank(*target));
-                    }
-                    Close::Nonblocking => nb(env.iunlock(wins[*win], Rank(*target)), &mut pending),
-                },
+                Stmt::Unlock { win, target, close: c } => {
+                    let (w, t) = (wins[*win], Rank(*target));
+                    close(*c, &|| env.unlock(w, t), &|| env.iunlock(w, t), &mut pending);
+                }
                 Stmt::LockAll { win } => {
-                    let _ = env.lock_all(wins[*win]);
+                    ok(kw, env.lock_all(wins[*win]));
                 }
-                Stmt::UnlockAll { win, close } => match close {
-                    Close::Blocking => {
-                        let _ = env.unlock_all(wins[*win]);
-                    }
-                    Close::Nonblocking => nb(env.iunlock_all(wins[*win]), &mut pending),
-                },
-                Stmt::Flush { win, target, local_only, close } => {
+                Stmt::UnlockAll { win, close: c } => {
                     let w = wins[*win];
-                    match (close, target, local_only) {
-                        (Close::Blocking, Some(t), false) => {
-                            let _ = env.flush(w, Rank(*t));
+                    close(*c, &|| env.unlock_all(w), &|| env.iunlock_all(w), &mut pending);
+                }
+                Stmt::Flush { win, target, local_only, close: c } => {
+                    let w = wins[*win];
+                    match (target.map(Rank), local_only) {
+                        (Some(t), false) => {
+                            close(*c, &|| env.flush(w, t), &|| env.iflush(w, t), &mut pending)
                         }
-                        (Close::Blocking, Some(t), true) => {
-                            let _ = env.flush_local(w, Rank(*t));
+                        (Some(t), true) => close(
+                            *c,
+                            &|| env.flush_local(w, t),
+                            &|| env.iflush_local(w, t),
+                            &mut pending,
+                        ),
+                        (None, false) => {
+                            close(*c, &|| env.flush_all(w), &|| env.iflush_all(w), &mut pending)
                         }
-                        (Close::Blocking, None, false) => {
-                            let _ = env.flush_all(w);
-                        }
-                        (Close::Blocking, None, true) => {
-                            let _ = env.flush_local_all(w);
-                        }
-                        (Close::Nonblocking, Some(t), false) => {
-                            nb(env.iflush(w, Rank(*t)), &mut pending);
-                        }
-                        (Close::Nonblocking, Some(t), true) => {
-                            nb(env.iflush_local(w, Rank(*t)), &mut pending);
-                        }
-                        (Close::Nonblocking, None, false) => {
-                            nb(env.iflush_all(w), &mut pending);
-                        }
-                        (Close::Nonblocking, None, true) => {
-                            nb(env.iflush_local_all(w), &mut pending);
-                        }
+                        (None, true) => close(
+                            *c,
+                            &|| env.flush_local_all(w),
+                            &|| env.iflush_local_all(w),
+                            &mut pending,
+                        ),
                     }
                 }
-                Stmt::Put { win, target, disp, len } => {
-                    let _ = env.put(wins[*win], Rank(*target), *disp, &vec![0xabu8; *len]);
+                Stmt::Put { win, target, disp, len, val } => {
+                    ok(kw, env.put(wins[*win], Rank(*target), *disp, &vec![*val; *len]));
                 }
                 Stmt::Get { win, target, disp, len } => {
-                    // The data request is intentionally dropped: the IR
-                    // interpreter checks liveness, not values.
-                    let _ = env.get(wins[*win], Rank(*target), *disp, *len);
+                    get_reqs.extend(ok(kw, env.get(wins[*win], Rank(*target), *disp, *len)));
                 }
-                Stmt::Acc { win, target, disp, len: _, op } => {
-                    let _ = env.accumulate(
-                        wins[*win],
-                        Rank(*target),
-                        *disp,
-                        Datatype::U64,
-                        *op,
-                        &1u64.to_le_bytes(),
-                    );
+                // `Acc` models an accumulate whose operand is unknown; it
+                // runs with operand 1.
+                Stmt::Acc { win, target, disp, op, .. } => acc(wins[*win], *target, *disp, *op, 1),
+                Stmt::AccVal { win, target, disp, op, val } => {
+                    acc(wins[*win], *target, *disp, *op, *val)
                 }
                 Stmt::ReadValue { win, target, disp, kind, local } => {
-                    let v = fetch_value(env, wins[*win], *target, *disp, *kind).unwrap_or(0);
+                    let v = fetch_value(env, wins[*win], *target, *disp, *kind, kw).unwrap_or(0);
                     locals.insert(*local, (*win, *target, *disp, *kind, v));
-                }
-                Stmt::AccVal { win, target, disp, op, val } => {
-                    let _ = env.accumulate(
-                        wins[*win],
-                        Rank(*target),
-                        *disp,
-                        Datatype::U64,
-                        *op,
-                        &val.to_le_bytes(),
-                    );
                 }
                 Stmt::SpinUntil { local, expect } => {
                     // Bounded spin: re-fetch the bound slot until the
@@ -800,7 +466,7 @@ fn exec_ir_inner(
                         let mut spins = 0u32;
                         while v != *expect && spins < 800 {
                             env.compute(SimTime::from_micros(100));
-                            v = fetch_value(env, wins[win], target, disp, kind).unwrap_or(v);
+                            v = fetch_value(env, wins[win], target, disp, kind, kw).unwrap_or(v);
                             spins += 1;
                         }
                         if let Some(slot) = locals.get_mut(local) {
@@ -808,24 +474,40 @@ fn exec_ir_inner(
                         }
                     }
                 }
+                Stmt::Compute { ns } => env.compute(SimTime::from_nanos(*ns)),
                 Stmt::WaitAll => {
-                    let _ = env.wait_all(pending.drain(..));
+                    ok(kw, env.wait_all(pending.drain(..)));
                 }
                 Stmt::Barrier => {
-                    let _ = env.barrier();
+                    ok(kw, env.barrier());
                 }
             }
         }
-        let _ = env.wait_all(pending.drain(..));
-        if let Some(mems) = &capture {
-            let _ = env.barrier();
-            let mut all = Vec::new();
-            for (i, w) in wins.iter().enumerate() {
-                all.extend(env.read_local(*w, 0, prog.windows[i]).unwrap_or_default());
-            }
-            mems.lock().unwrap()[me] = all;
+        ok(kw, env.wait_all(pending.drain(..)));
+        g2.lock().expect("no rank panics holding the results")[me] = get_reqs
+            .into_iter()
+            .filter_map(|r| ok(kw, env.wait_data(r)))
+            .map(|b| b.to_vec())
+            .collect();
+        if finish == Finish::Report {
+            return;
         }
-    })
+        ok(kw, env.barrier());
+        let mut all = Vec::new();
+        for (w, bytes) in wins.iter().zip(&prog.windows) {
+            all.extend(ok(kw, env.read_local(*w, 0, *bytes)).unwrap_or_default());
+        }
+        m2.lock().expect("no rank panics holding the results")[me] = all;
+        if finish == Finish::CaptureAndFree {
+            for w in wins {
+                ok(kw, env.win_free(w));
+            }
+        }
+    })?;
+    let mems = std::mem::take(&mut *mems.lock().expect("the job is over"));
+    let gets = std::mem::take(&mut *gets.lock().expect("the job is over"));
+    let gets = gets.into_iter().flatten().collect();
+    Ok(RunOutcome { mems, gets, report })
 }
 
 #[cfg(test)]
@@ -834,25 +516,44 @@ mod tests {
     use crate::program::{generate, oracle, Family};
 
     #[test]
-    fn baseline_run_matches_oracle() {
-        let p = generate(Family::MixedSerial, 0);
-        let exp = oracle(&p);
-        let out = execute(&p, &RunSpec::baseline(SyncStrategy::Redesigned, false)).unwrap();
-        assert_eq!(out.mems[1..], exp.mems[1..]);
-        assert_eq!(out.gets, exp.gets);
-        assert!(!out.report.trace.is_empty(), "tracing must be on");
-        assert!(out.report.live_requests == 0);
+    fn every_family_matches_its_oracle_in_both_close_modes() {
+        for family in Family::ALL {
+            for idx in 0..8 {
+                let p = generate(family, idx);
+                let exp = oracle(&p);
+                for nb in [false, true] {
+                    let tag = format!("{family:?} #{idx} nb={nb}");
+                    let out = execute(&p, &RunSpec::baseline(SyncStrategy::Redesigned, nb))
+                        .unwrap_or_else(|f| panic!("{tag}: {f}"));
+                    assert_eq!(out.mems, exp.mems, "{tag}");
+                    assert_eq!(out.gets, exp.gets, "{tag}");
+                    assert_eq!(out.report.live_requests, 0, "{tag}");
+                    assert!(!out.report.trace.is_empty(), "{tag}: tracing must be on");
+                }
+            }
+        }
     }
 
     #[test]
-    fn lock_all_storm_matches_oracle() {
-        let p = generate(Family::LockAllStorm, 0);
-        let exp = oracle(&p);
-        for nb in [false, true] {
-            let out = execute(&p, &RunSpec::baseline(SyncStrategy::Redesigned, nb)).unwrap();
-            assert_eq!(out.mems, exp.mems, "nb={nb}");
-            assert_eq!(out.report.live_requests, 0);
-        }
+    fn exec_ir_consumes_get_requests() {
+        let mut p = IrProgram::new(2, 16);
+        p.ranks[0] = vec![
+            Stmt::LockAll { win: 0 },
+            Stmt::Get { win: 0, target: 1, disp: 0, len: 8 },
+            Stmt::UnlockAll { win: 0, close: Close::Blocking },
+        ];
+        let report = exec_ir(&p, false, 7).unwrap();
+        assert_eq!(report.live_requests, 0);
+
+        // A get in an access epoch whose target never posts: the watchdog
+        // cancels the epoch, and consuming the get must not hang the run.
+        p.ranks[0] = vec![
+            Stmt::Start { win: 0, group: vec![1] },
+            Stmt::Get { win: 0, target: 1, disp: 0, len: 8 },
+            Stmt::Complete { win: 0, close: Close::Blocking },
+        ];
+        let report = exec_ir(&p, true, 7).expect("the watchdog must terminate the run");
+        assert!(!report.degradations.is_empty(), "the stuck epoch must be cancelled");
     }
 
     #[test]
@@ -866,6 +567,7 @@ mod tests {
             fault: Some("skip-grant".into()),
             fault_plan: Some("light-loss".into()),
             reliable: true,
+            watchdog: true,
             crash_at: Some((2, 4)),
             bad_recovery: true,
         };
@@ -878,6 +580,7 @@ mod tests {
             "skip-grant",
             "light-loss",
             "reliable: true",
+            "watchdog: true",
             "crash_at: Some((2, 4))",
             "bad_recovery: true",
         ] {

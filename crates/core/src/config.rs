@@ -236,11 +236,6 @@ pub struct JobConfig {
     /// (see `Sim::set_nondet_tiebreak`). Exists solely so the determinism
     /// cross-check can prove it would catch a nondeterministic kernel.
     pub nondet_tiebreak: bool,
-    /// Bounded spin before a baton handoff parks on its condvar (`None` =
-    /// auto-detect from machine parallelism; `Some(0)` disables spinning).
-    /// Only thread-per-rank and pooled-with-workers modes hand off batons;
-    /// inline pooled execution never parks.
-    pub handoff_spin: Option<u32>,
 }
 
 impl JobConfig {
@@ -265,7 +260,6 @@ impl JobConfig {
             watchdog: None,
             exec: ExecMode::default(),
             nondet_tiebreak: false,
-            handoff_spin: None,
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The pooled execution mode ([`crate::kernel::ExecMode::Pooled`]) runs each
 //! simulated process on its own heap-allocated stack and switches between
-//! that stack and the resumer (driver or pool worker) with a ~20-instruction
+//! that stack and the driver thread with a ~20-instruction
 //! context switch — no syscalls, no condvars, no OS threads per rank. A
 //! suspended rank costs one mmap'd stack whose untouched pages stay
 //! non-resident, which is what makes 4096+ ranks per process feasible.
@@ -30,8 +30,7 @@
 //!
 //! A fiber is resumed by exactly one thread at a time — the kernel's baton
 //! discipline (one runnable entity per instant) guarantees it — and yields
-//! are routed through a thread-local set by the resumer, so a fiber may
-//! migrate between pool workers across suspensions but never while running.
+//! are routed through a thread-local set by the resumer.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};

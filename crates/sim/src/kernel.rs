@@ -17,10 +17,8 @@
 //!
 //! - [`ExecMode::Pooled`] (default where supported): each process is a
 //!   stackful [fiber](crate::fiber) — a parked *continuation*, not a parked
-//!   thread. With `workers: 0` the driver resumes fibers inline (a context
-//!   switch is ~20 instructions, no syscalls); with `workers: n` slices are
-//!   dispatched to a small pool of worker threads, deterministically
-//!   assigned by process id.
+//!   thread — that the driver resumes inline (a context switch is ~20
+//!   instructions, no syscalls).
 //! - [`ExecMode::ThreadPerRank`]: one OS thread per process, handed a baton
 //!   through per-entity [`Parker`](crate::parker::Parker)s. Kept as the
 //!   differential baseline the determinism cross-check compares against.
@@ -61,21 +59,16 @@ pub enum ExecMode {
     /// handoffs per slice; kept as the differential baseline for the
     /// determinism cross-check.
     ThreadPerRank,
-    /// Stackful fibers multiplexed onto a pool of `workers` OS threads.
-    /// `workers: 0` resumes fibers inline on the driver thread — the
-    /// fastest mode and the default. Falls back to [`ExecMode::ThreadPerRank`]
-    /// on targets without fiber support (non-x86_64 / non-Linux).
-    Pooled {
-        /// Number of extra pool worker threads (0 = run slices inline on
-        /// the driver thread).
-        workers: usize,
-    },
+    /// Stackful fibers resumed inline on the driver thread — the fastest
+    /// mode and the default. Falls back to [`ExecMode::ThreadPerRank`] on
+    /// targets without fiber support (non-x86_64 / non-Linux).
+    Pooled,
 }
 
 impl Default for ExecMode {
     fn default() -> Self {
         if fiber::SUPPORTED {
-            ExecMode::Pooled { workers: 0 }
+            ExecMode::Pooled
         } else {
             ExecMode::ThreadPerRank
         }
@@ -170,7 +163,6 @@ pub(crate) struct Inner {
     // thread) is created by the driver, which drains this queue before
     // running anything from the ready queue.
     pending_spawns: VecDeque<(ProcId, SpawnFn)>,
-    handoff_spin: Option<u32>,
     events_executed: u64,
     context_switches: u64,
     event_cap: u64,
@@ -288,9 +280,6 @@ impl SimHandle {
         let label = label.into();
         let parker = Arc::new(Parker::new());
         let mut inner = self.core.inner.lock();
-        if let Some(iters) = inner.handoff_spin {
-            parker.set_spin(iters);
-        }
         let pid = ProcId(inner.procs.len());
         inner.procs.push(ProcRec {
             label,
@@ -302,21 +291,6 @@ impl SimHandle {
         inner.pending_spawns.push_back((pid, Box::new(f)));
         pid
     }
-}
-
-/// A work slot handed to a pool worker: a fiber to resume (as a raw
-/// address — exclusive access is guaranteed because the driver parks until
-/// the slice ends) or the shutdown order.
-enum WorkerJob {
-    Idle,
-    Run(usize),
-    Shutdown,
-}
-
-struct PoolWorker {
-    parker: Arc<Parker>,
-    job: Arc<Mutex<WorkerJob>>,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// The simulation builder and driver.
@@ -336,10 +310,8 @@ pub struct Sim {
     core: Arc<SimCore>,
     threads: Vec<JoinHandle<()>>,
     fibers: Vec<Fiber>,
-    pool: Vec<PoolWorker>,
     mode: ExecMode,
     stack_size: usize,
-    handoff_spin: Option<u32>,
 }
 
 /// Default per-process stack size. Simulated ranks mostly park, so a small
@@ -364,7 +336,6 @@ impl Sim {
                     procs: Vec::new(),
                     aborting: false,
                     pending_spawns: VecDeque::new(),
-                    handoff_spin: None,
                     tiebreak_seed: None,
                     nondet_tiebreak: false,
                     events_executed: 0,
@@ -376,10 +347,8 @@ impl Sim {
             }),
             threads: Vec::new(),
             fibers: Vec::new(),
-            pool: Vec::new(),
             mode: ExecMode::default(),
             stack_size: DEFAULT_STACK_SIZE,
-            handoff_spin: None,
         }
     }
 
@@ -408,21 +377,6 @@ impl Sim {
     /// Override the event cap.
     pub fn set_event_cap(&mut self, cap: u64) {
         self.core.inner.lock().event_cap = cap;
-    }
-
-    /// Override the bounded spin performed before a baton handoff parks on
-    /// its condvar (see [`Parker`]). Applies to the scheduler baton, every
-    /// already-spawned process, and everything spawned afterwards. `0`
-    /// disables spinning; the default is auto-detected from the machine's
-    /// parallelism.
-    pub fn set_handoff_spin(&mut self, iters: u32) {
-        self.handoff_spin = Some(iters);
-        self.core.sched.set_spin(iters);
-        let mut inner = self.core.inner.lock();
-        inner.handoff_spin = Some(iters);
-        for p in inner.procs.iter() {
-            p.parker.set_spin(iters);
-        }
     }
 
     /// Install a seeded tie-break perturbation for same-time events.
@@ -517,7 +471,7 @@ impl Sim {
             }
         };
         match self.mode {
-            ExecMode::Pooled { .. } => {
+            ExecMode::Pooled => {
                 let body = move || {
                     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                     record_exit(result);
@@ -583,22 +537,10 @@ impl Sim {
                 proc_parker.unpark();
                 self.core.sched.park();
             }
-            ExecMode::Pooled { workers: 0 } => {
+            ExecMode::Pooled => {
                 // Inline: the driver becomes the process for one slice. No
                 // parking, no syscalls — just a stack switch each way.
                 self.fibers[pid.0].resume();
-            }
-            ExecMode::Pooled { workers } => {
-                // Deterministic worker assignment by pid. Which OS thread
-                // runs the slice cannot affect results (execution is still
-                // serialized); the pool exists to bound thread count, not
-                // to parallelize.
-                self.ensure_pool(workers);
-                let fiber_ptr: *mut Fiber = &mut self.fibers[pid.0];
-                let w = &self.pool[pid.0 % workers];
-                *w.job.lock() = WorkerJob::Run(fiber_ptr as usize);
-                w.parker.unpark();
-                self.core.sched.park();
             }
         }
     }
@@ -686,44 +628,6 @@ impl Sim {
         }
     }
 
-    /// Lazily start the worker pool for `Pooled { workers: n > 0 }`.
-    fn ensure_pool(&mut self, workers: usize) {
-        if !self.pool.is_empty() {
-            return;
-        }
-        for i in 0..workers {
-            let parker = Arc::new(Parker::new());
-            if let Some(iters) = self.handoff_spin {
-                parker.set_spin(iters);
-            }
-            let job = Arc::new(Mutex::new(WorkerJob::Idle));
-            let core = self.core.clone();
-            let (wp, wj) = (parker.clone(), job.clone());
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-worker-{i}"))
-                .spawn(move || loop {
-                    wp.park();
-                    let job = std::mem::replace(&mut *wj.lock(), WorkerJob::Idle);
-                    match job {
-                        WorkerJob::Run(addr) => {
-                            // SAFETY: the driver parked right after posting
-                            // this job and stays parked until we hand the
-                            // baton back, so the fiber (and the Vec holding
-                            // it) is untouched elsewhere for the whole
-                            // slice.
-                            let fiber = unsafe { &mut *(addr as *mut Fiber) };
-                            fiber.resume();
-                            core.sched.unpark();
-                        }
-                        WorkerJob::Shutdown => break,
-                        WorkerJob::Idle => {}
-                    }
-                })
-                .expect("failed to spawn simulation pool worker");
-            self.pool.push(PoolWorker { parker, job, handle: Some(handle) });
-        }
-    }
-
     /// Unwind every unfinished process so the run can terminate; used on
     /// deadlock or propagated panic.
     fn abort_all(&mut self) {
@@ -759,7 +663,7 @@ impl Sim {
                     p.unpark();
                 }
             }
-            ExecMode::Pooled { .. } => {
+            ExecMode::Pooled => {
                 // Resume every unfinished fiber on the driver thread until
                 // it unwinds: a suspended fiber aborts at the yield it
                 // returns into, a never-started one aborts at its first
@@ -780,16 +684,6 @@ impl Sim {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        for w in self.pool.iter() {
-            *w.job.lock() = WorkerJob::Shutdown;
-            w.parker.unpark();
-        }
-        for w in self.pool.iter_mut() {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-        self.pool.clear();
     }
 }
 
@@ -923,8 +817,7 @@ mod tests {
     fn all_modes() -> Vec<ExecMode> {
         let mut m = vec![ExecMode::ThreadPerRank];
         if fiber::SUPPORTED {
-            m.push(ExecMode::Pooled { workers: 0 });
-            m.push(ExecMode::Pooled { workers: 2 });
+            m.push(ExecMode::Pooled);
         }
         m
     }

@@ -1,5 +1,5 @@
 //! A one-permit baton used to hand execution between the scheduler thread
-//! and process threads (and pool workers).
+//! and process threads in thread-per-rank mode.
 //!
 //! Exactly one entity (the scheduler or one process) runs at any moment.
 //! Handing the baton to a thread is `unpark`; giving it up is `park`. Each
@@ -12,8 +12,7 @@
 //! multi-core host this skips the futex round-trip that dominates
 //! small-rank wall-clock time; on a single-core host spinning only steals
 //! cycles from the thread that would grant the permit, so the default spin
-//! is zero there. The bound is configurable per parker
-//! ([`Parker::set_spin`], surfaced as `Sim::set_handoff_spin`).
+//! is zero there.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -58,6 +57,7 @@ impl Parker {
 
     /// Set the bounded spin performed before parking on the condvar
     /// (0 disables spinning).
+    #[cfg(test)]
     pub(crate) fn set_spin(&self, iters: u32) {
         self.spin.store(iters, Ordering::Relaxed);
     }

@@ -128,7 +128,7 @@ impl ProcCtx {
         }
         if crate::fiber::on_fiber() {
             // Pooled mode: suspend this continuation; control returns to
-            // the driver (or pool worker) that resumed it.
+            // the driver that resumed it.
             crate::fiber::yield_current();
         } else {
             // Thread mode: hand the baton back and park this OS thread.

@@ -163,23 +163,22 @@ impl Drop for DropProbe {
 }
 
 fn modes_under_test() -> Vec<ExecMode> {
-    // ThreadPerRank everywhere; the pooled variants only where supported
-    // (set_exec_mode would silently downgrade them to ThreadPerRank, which
-    // would just re-test the baseline).
+    // ThreadPerRank everywhere; pooled only where supported (set_exec_mode
+    // would silently downgrade it to ThreadPerRank, which would just
+    // re-test the baseline).
     let mut m = vec![ExecMode::ThreadPerRank];
     if ExecMode::default() != ExecMode::ThreadPerRank {
-        m.push(ExecMode::Pooled { workers: 0 });
-        m.push(ExecMode::Pooled { workers: 3 });
+        m.push(ExecMode::Pooled);
     }
     m
 }
 
 #[test]
-fn worker_pool_shuts_down_with_parked_continuations() {
-    // A deadlocked run leaves continuations suspended mid-wait and pool
-    // workers parked. `run` must still return (no hung worker threads), the
-    // deadlock must name every stuck process, and the suspended
-    // continuations must be unwound (their stack-held values dropped).
+fn deadlocked_run_unwinds_parked_continuations() {
+    // A deadlocked run leaves continuations suspended mid-wait. `run` must
+    // still return (no hung threads), the deadlock must name every stuck
+    // process, and the suspended continuations must be unwound (their
+    // stack-held values dropped).
     for mode in modes_under_test() {
         let drops = Arc::new(Mutex::new(0usize));
         let mut sim = Sim::new(0);
@@ -272,7 +271,7 @@ fn four_thousand_ranks_run_pooled() {
         return; // fibers unsupported on this target
     }
     let mut sim = Sim::new(9);
-    sim.set_exec_mode(ExecMode::Pooled { workers: 0 });
+    sim.set_exec_mode(ExecMode::Pooled);
     sim.set_stack_size(64 * 1024);
     let done = Arc::new(Mutex::new(0usize));
     let gate = Signal::new();

@@ -1,45 +1,33 @@
 //! Property-based tests: randomly generated RMA programs checked against
 //! sequential oracles.
 //!
+//! The programs are the conformance harness's own [`Program`] shapes, so
+//! they run through the same path as every `mpisim-check` sweep: lowered
+//! to the analyzer IR and executed by the one IR interpreter
+//! ([`execute`]), then compared with [`oracle`].
+//!
 //! Two families:
 //!
 //! 1. **Single-origin programs** — one rank issues a random sequence of
-//!    epochs (fence / GATS / lock / lock_all) each containing random puts
-//!    and accumulates. With reorder flags off, epochs execute in order, so
-//!    replaying the operations sequentially on a local model of every
-//!    target's memory must match the final window contents byte for byte.
+//!    epochs (fence / GATS / lock / lock_all) each containing random puts,
+//!    accumulates and gets. With reorder flags off, epochs execute in
+//!    order, so replaying the operations sequentially on a local model of
+//!    every target's memory must match the final window contents byte for
+//!    byte.
 //! 2. **Multi-origin commutative programs** — every rank fires random
 //!    `Sum` accumulates at random targets through nonblocking, out-of-order
-//!    (`A_A_A_R`) epochs. Addition commutes, so the final contents must
-//!    equal the sum of all operands regardless of completion order.
+//!    lock epochs. Addition commutes, so the final contents must equal the
+//!    sum of all operands regardless of completion order.
 
-use nonblocking_rma::{
-    run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, SimTime,
-};
+use mpisim_check::program::WIN_BYTES;
+use mpisim_check::{execute, oracle, Epoch, Op, Program, RunSpec, SyncStrategy};
 use proptest::prelude::*;
 
-const WIN_BYTES: usize = 64;
+const N_RANKS: usize = 3;
 
-/// One operation inside an epoch.
-#[derive(Clone, Debug)]
-enum Op {
-    Put { target: usize, disp: usize, val: u8, len: usize },
-    AccSum { target: usize, slot: usize, operand: u64 },
-    Get { target: usize, disp: usize, len: usize },
-}
-
-/// One epoch of a generated program.
-#[derive(Clone, Debug)]
-enum Epoch {
-    Fence(Vec<Op>),
-    Gats(Vec<Op>),
-    Lock { target: usize, ops: Vec<Op> },
-    LockAll(Vec<Op>),
-}
-
-fn op_strategy(n_ranks: usize) -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (1..n_ranks, 0..WIN_BYTES - 8, any::<u8>(), 1..8usize).prop_map(
+        (1..N_RANKS, 0..WIN_BYTES - 8, any::<u8>(), 1..8usize).prop_map(
             |(target, disp, val, len)| Op::Put {
                 target,
                 disp: disp.min(WIN_BYTES - len),
@@ -47,14 +35,9 @@ fn op_strategy(n_ranks: usize) -> impl Strategy<Value = Op> {
                 len,
             }
         ),
-        (1..n_ranks, 0..WIN_BYTES / 8, any::<u64>()).prop_map(|(target, slot, operand)| {
-            Op::AccSum {
-                target,
-                slot,
-                operand,
-            }
-        }),
-        (1..n_ranks, 0..WIN_BYTES - 8, 1..8usize).prop_map(|(target, disp, len)| Op::Get {
+        (1..N_RANKS, 0..WIN_BYTES / 8, any::<u64>())
+            .prop_map(|(target, slot, operand)| Op::AccSum { target, slot, operand }),
+        (1..N_RANKS, 0..WIN_BYTES - 8, 1..8usize).prop_map(|(target, disp, len)| Op::Get {
             target,
             disp: disp.min(WIN_BYTES - len),
             len,
@@ -62,15 +45,15 @@ fn op_strategy(n_ranks: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn ops_strategy(n_ranks: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(op_strategy(n_ranks), 0..5)
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(op_strategy(), 0..5)
 }
 
-fn epoch_strategy(n_ranks: usize) -> impl Strategy<Value = Epoch> {
+fn epoch_strategy() -> impl Strategy<Value = Epoch> {
     prop_oneof![
-        ops_strategy(n_ranks).prop_map(Epoch::Fence),
-        ops_strategy(n_ranks).prop_map(Epoch::Gats),
-        (1..n_ranks, ops_strategy(n_ranks)).prop_map(|(target, ops)| {
+        ops_strategy().prop_map(Epoch::Fence),
+        ops_strategy().prop_map(Epoch::Gats),
+        (1..N_RANKS, ops_strategy()).prop_map(|(target, ops)| {
             // Lock epochs address a single target: retarget every op.
             let ops = ops
                 .into_iter()
@@ -82,178 +65,24 @@ fn epoch_strategy(n_ranks: usize) -> impl Strategy<Value = Epoch> {
                 .collect();
             Epoch::Lock { target, ops }
         }),
-        ops_strategy(n_ranks).prop_map(Epoch::LockAll),
+        ops_strategy().prop_map(Epoch::LockAll),
     ]
 }
 
-/// Apply the program to a local memory model; returns (final memories,
-/// expected get results in program order).
-fn oracle(n_ranks: usize, program: &[Epoch]) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let mut mem = vec![vec![0u8; WIN_BYTES]; n_ranks];
-    let mut gets = Vec::new();
-    let mut apply = |op: &Op, gets: &mut Vec<Vec<u8>>| match op {
-        Op::Put { target, disp, val, len } => {
-            mem[*target][*disp..disp + len].fill(*val);
-        }
-        Op::AccSum { target, slot, operand } => {
-            let d = slot * 8;
-            let cur = u64::from_le_bytes(mem[*target][d..d + 8].try_into().unwrap());
-            mem[*target][d..d + 8].copy_from_slice(&cur.wrapping_add(*operand).to_le_bytes());
-        }
-        Op::Get { target, disp, len } => {
-            gets.push(mem[*target][*disp..disp + len].to_vec());
-        }
-    };
-    for e in program {
-        let ops = match e {
-            Epoch::Fence(o) | Epoch::Gats(o) | Epoch::LockAll(o) => o,
-            Epoch::Lock { ops, .. } => ops,
-        };
-        for op in ops {
-            apply(op, &mut gets);
-        }
+/// Run `program` under `strategy` with blocking or nonblocking closes and
+/// compare memories and get results with the sequential oracle.
+fn check(program: &Program, strategy: SyncStrategy, nonblocking: bool) {
+    let expected = oracle(program);
+    let got = execute(program, &RunSpec::baseline(strategy, nonblocking))
+        .unwrap_or_else(|f| panic!("run failed: {f}"));
+    for (r, (got, want)) in got.mems.iter().zip(&expected.mems).enumerate() {
+        prop_assert_eq!(got, want, "rank {} memory diverged", r);
     }
-    (mem, gets)
+    prop_assert_eq!(got.gets, expected.gets, "get results diverged");
 }
 
-/// Drive the generated program through the real runtime. Rank 0 is the
-/// only origin; targets cooperate (posting exposures / fencing as needed).
-fn execute(
-    n_ranks: usize,
-    program: Vec<Epoch>,
-    nonblocking: bool,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    execute_with(n_ranks, program, nonblocking, nonblocking_rma::SyncStrategy::Redesigned)
-}
-
-fn execute_with(
-    n_ranks: usize,
-    program: Vec<Epoch>,
-    nonblocking: bool,
-    strategy: nonblocking_rma::SyncStrategy,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    use std::sync::Mutex;
-    let result = std::sync::Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let got_gets = std::sync::Arc::new(Mutex::new(Vec::new()));
-    let g2 = got_gets.clone();
-    let r2 = result.clone();
-    // Targets must know how many epochs of each participation they join.
-    let fence_count = program
-        .iter()
-        .filter(|e| matches!(e, Epoch::Fence(_)))
-        .count();
-    let gats_count = program.iter().filter(|e| matches!(e, Epoch::Gats(_))).count();
-    let program = std::sync::Arc::new(program);
-
-    run_job(JobConfig::new(n_ranks).with_seed(7).with_strategy(strategy), move |env| {
-        let me = env.rank().idx();
-        let win = env.win_allocate(WIN_BYTES).unwrap();
-        env.barrier().unwrap();
-        if me == 0 {
-            let mut pending = Vec::new();
-            let mut get_reqs = Vec::new();
-            for e in program.iter() {
-                match e {
-                    Epoch::Fence(ops) => {
-                        env.fence(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs);
-                        if nonblocking {
-                            pending.push(env.ifence(win).unwrap());
-                        } else {
-                            env.fence(win).unwrap();
-                        }
-                    }
-                    Epoch::Gats(ops) => {
-                        env.start(win, Group::new(1..n_ranks)).unwrap();
-                        issue(env, win, ops, &mut get_reqs);
-                        if nonblocking {
-                            pending.push(env.icomplete(win).unwrap());
-                        } else {
-                            env.complete(win).unwrap();
-                        }
-                    }
-                    Epoch::Lock { target, ops } => {
-                        env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
-                        issue(env, win, ops, &mut get_reqs);
-                        if nonblocking {
-                            pending.push(env.iunlock(win, Rank(*target)).unwrap());
-                        } else {
-                            env.unlock(win, Rank(*target)).unwrap();
-                        }
-                    }
-                    Epoch::LockAll(ops) => {
-                        env.lock_all(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs);
-                        if nonblocking {
-                            pending.push(env.iunlock_all(win).unwrap());
-                        } else {
-                            env.unlock_all(win).unwrap();
-                        }
-                    }
-                }
-            }
-            env.wait_all(pending).unwrap();
-            let mut out = Vec::new();
-            for r in get_reqs {
-                out.push(env.wait_data(r).unwrap().to_vec());
-            }
-            *g2.lock().unwrap() = out;
-        } else {
-            // Targets: join every fence, expose for every GATS epoch.
-            // Epochs are activated serially at the origin (flags off), so
-            // target-side participation in program order is correct.
-            for e in program.iter() {
-                match e {
-                    Epoch::Fence(_) => {
-                        env.fence(win).unwrap();
-                        env.fence(win).unwrap();
-                    }
-                    Epoch::Gats(_) => {
-                        env.post(win, Group::single(Rank(0))).unwrap();
-                        env.wait_epoch(win).unwrap();
-                    }
-                    _ => {}
-                }
-            }
-            let _ = (fence_count, gats_count);
-        }
-        env.barrier().unwrap();
-        r2.lock().unwrap()[me] = env.read_local(win, 0, WIN_BYTES).unwrap();
-        env.win_free(win).unwrap();
-    })
-    .unwrap();
-    let mems = result.lock().unwrap().clone();
-    let gets = got_gets.lock().unwrap().clone();
-    (mems, gets)
-}
-
-fn issue(
-    env: &nonblocking_rma::RankEnv,
-    win: nonblocking_rma::WinId,
-    ops: &[Op],
-    gets: &mut Vec<nonblocking_rma::Req>,
-) {
-    for op in ops {
-        match op {
-            Op::Put { target, disp, val, len } => {
-                env.put(win, Rank(*target), *disp, &vec![*val; *len]).unwrap();
-            }
-            Op::AccSum { target, slot, operand } => {
-                env.accumulate(
-                    win,
-                    Rank(*target),
-                    slot * 8,
-                    Datatype::U64,
-                    ReduceOp::Sum,
-                    &operand.to_le_bytes(),
-                )
-                .unwrap();
-            }
-            Op::Get { target, disp, len } => {
-                gets.push(env.get(win, Rank(*target), *disp, *len).unwrap());
-            }
-        }
-    }
+fn single_origin(epochs: Vec<Epoch>) -> Program {
+    Program::SingleOrigin { n_ranks: N_RANKS, reorder: false, epochs }
 }
 
 proptest! {
@@ -263,14 +92,9 @@ proptest! {
     /// blocking flavour.
     #[test]
     fn single_origin_blocking_matches_oracle(
-        program in proptest::collection::vec(epoch_strategy(3), 1..6)
+        epochs in proptest::collection::vec(epoch_strategy(), 1..6)
     ) {
-        let (expected, expected_gets) = oracle(3, &program);
-        let (got, got_gets) = execute(3, program, false);
-        for t in 1..3 {
-            prop_assert_eq!(&got[t], &expected[t], "target {} memory diverged", t);
-        }
-        prop_assert_eq!(got_gets, expected_gets, "get results diverged");
+        check(&single_origin(epochs), SyncStrategy::Redesigned, false);
     }
 
     /// Same, nonblocking flavour: closing every epoch with `i`-routines and
@@ -278,14 +102,9 @@ proptest! {
     /// activated serially with flags off).
     #[test]
     fn single_origin_nonblocking_matches_oracle(
-        program in proptest::collection::vec(epoch_strategy(3), 1..6)
+        epochs in proptest::collection::vec(epoch_strategy(), 1..6)
     ) {
-        let (expected, expected_gets) = oracle(3, &program);
-        let (got, got_gets) = execute(3, program, true);
-        for t in 1..3 {
-            prop_assert_eq!(&got[t], &expected[t], "target {} memory diverged", t);
-        }
-        prop_assert_eq!(got_gets, expected_gets, "get results diverged");
+        check(&single_origin(epochs), SyncStrategy::Redesigned, true);
     }
 
     /// Strategy equivalence: the lazy MVAPICH-like baseline and the
@@ -293,19 +112,9 @@ proptest! {
     /// any program — only timing may differ.
     #[test]
     fn lazy_baseline_computes_identical_results(
-        program in proptest::collection::vec(epoch_strategy(3), 1..5)
+        epochs in proptest::collection::vec(epoch_strategy(), 1..5)
     ) {
-        let (expected, expected_gets) = oracle(3, &program);
-        let (got, got_gets) = execute_with(
-            3,
-            program,
-            false,
-            nonblocking_rma::SyncStrategy::LazyBaseline,
-        );
-        for t in 1..3 {
-            prop_assert_eq!(&got[t], &expected[t], "target {} memory diverged", t);
-        }
-        prop_assert_eq!(got_gets, expected_gets, "get results diverged");
+        check(&single_origin(epochs), SyncStrategy::LazyBaseline, false);
     }
 
     /// Multi-origin commutative accumulates survive out-of-order epochs.
@@ -316,40 +125,6 @@ proptest! {
             4..=4
         )
     ) {
-        let mut expected = vec![vec![0u64; 4]; 4];
-        for (origin, txs) in plan.iter().enumerate() {
-            let _ = origin;
-            for (target, slot, v) in txs {
-                expected[*target][*slot] = expected[*target][*slot].wrapping_add(*v);
-            }
-        }
-        let plan2 = std::sync::Arc::new(plan);
-        let result = std::sync::Arc::new(std::sync::Mutex::new(vec![vec![0u64; 4]; 4]));
-        let r2 = result.clone();
-        run_job(JobConfig::new(4), move |env| {
-            let me = env.rank().idx();
-            let win = env
-                .win_allocate_with(32, nonblocking_rma::WinInfo::aaar())
-                .unwrap();
-            env.barrier().unwrap();
-            let mut pend = Vec::new();
-            for (target, slot, v) in &plan2[me] {
-                let _ = env.ilock(win, Rank(*target), LockKind::Exclusive).unwrap();
-                env.accumulate(
-                    win, Rank(*target), slot * 8, Datatype::U64, ReduceOp::Sum,
-                    &v.to_le_bytes(),
-                ).unwrap();
-                pend.push(env.iunlock(win, Rank(*target)).unwrap());
-                env.compute(SimTime::from_nanos(((me as u64) * 97 + 13) % 500));
-            }
-            env.wait_all(pend).unwrap();
-            env.barrier().unwrap();
-            let bytes = env.read_local(win, 0, 32).unwrap();
-            r2.lock().unwrap()[me] = nonblocking_rma::core::datatype::bytes_to_u64s(&bytes);
-            env.win_free(win).unwrap();
-        })
-        .unwrap();
-        let got = result.lock().unwrap().clone();
-        prop_assert_eq!(got, expected);
+        check(&Program::MultiOrigin { n_ranks: 4, plan }, SyncStrategy::Redesigned, true);
     }
 }
